@@ -116,6 +116,13 @@ cargo build --release --workspace
 stage "cargo test (debug profile, debug_assert! active)"
 cargo test -q --workspace
 
+# The benchmark package (perfbench/, outside the workspace) runs every
+# workload at its tiny size in its own self-tests: the DES flows, the
+# campaign, the city sweep and the fleet must reproduce their blessed
+# tiny counter sets, and tampered references must fail.
+stage "perfbench self-tests (tiny workloads vs blessed counters)"
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 # Opt-in (FIVEG_CI_MIRI=1): the shard kernel's unit tests under miri,
 # which catches UB the type system can't — even with every crate at
 # forbid(unsafe_code), the kernel leans on std sync primitives whose

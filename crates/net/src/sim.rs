@@ -7,9 +7,18 @@
 //! in through the [`Endpoint`] trait.
 //!
 //! Design notes (smoltcp school): the world owns all state; events carry
-//! only ids and plain packets; handlers never hold references across
-//! scheduling calls, so the borrow checker stays out of the way and the
-//! execution order is exactly the event order.
+//! only ids; handlers never hold references across scheduling calls, so
+//! the borrow checker stays out of the way and the execution order is
+//! exactly the event order.
+//!
+//! Packets and ACKs in flight wait in FIFO lanes (`Lane`) — one per hop
+//! entrance, one for the receiver, one per flow's reverse channel — and
+//! their events name only the lane. That is exact because each lane's
+//! events are scheduled at non-decreasing times: a sender injects at
+//! `now`, a hop's exits are clamped to in-order delivery
+//! (`last_exit + ser`), and the reverse delay is a per-simulation
+//! constant. The queue breaks time ties by scheduling order, so it pops
+//! a lane's events in the order their items were pushed.
 
 use crate::crosstraffic::CrossTraffic;
 use crate::hop::{Hop, HopStats, Queued};
@@ -17,7 +26,7 @@ use crate::packet::{FlowId, Packet, MSS_BYTES};
 use crate::path::PathConfig;
 use fiveg_simcore::{EventQueue, SimDuration, SimRng, SimTime};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 
 /// Classes of transport timers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -79,6 +88,8 @@ pub struct Ctx<'a> {
     now: SimTime,
     flow: FlowId,
     q: &'a mut EventQueue<Ev>,
+    /// The first hop's entrance lane.
+    lane: &'a mut Lane<Packet>,
     rng: &'a mut SimRng,
     next_timer_id: &'a mut u64,
 }
@@ -104,7 +115,7 @@ impl Ctx<'_> {
             sent_at: self.now,
             retx,
         };
-        self.q.schedule_at(self.now, Ev::Arrive { hop: 0, pkt });
+        self.lane.push(self.q, self.now, Ev::Arrive { hop: 0 }, pkt);
     }
 
     /// Arms a timer; returns its id (delivered back in `on_timer`).
@@ -194,14 +205,66 @@ impl FlowStats {
 struct Flow {
     sender: Box<dyn Endpoint>,
     receiver: Receiver,
+    /// ACKs on the reverse channel, bound for the sender.
+    acks: Lane<AckInfo>,
     started: bool,
 }
 
-/// Internal events.
+/// Items in flight toward one destination, in the order their events
+/// fire. Each item is tagged with its event's time, and every push must
+/// be at or after the previous one (see the module notes): that is what
+/// lets an event name the lane instead of carrying the item.
+struct Lane<T>(VecDeque<(SimTime, T)>);
+
+impl<T> Lane<T> {
+    fn new() -> Self {
+        Lane(VecDeque::new())
+    }
+
+    /// Queues `item` and schedules its event `ev` at `at`.
+    fn push(&mut self, q: &mut EventQueue<Ev>, at: SimTime, ev: Ev, item: T) {
+        debug_assert!(
+            self.0.back().is_none_or(|&(last, _)| last <= at),
+            "lane pushed out of time order"
+        );
+        q.schedule_at(at, ev);
+        self.0.push_back((at, item));
+    }
+
+    /// Takes the item whose event fires at `now`. A lane that is empty,
+    /// or whose head was queued for another time, means an event and its
+    /// item came apart; that is a bug, never something to skip.
+    fn pop(&mut self, now: SimTime) -> T {
+        let head = self.0.pop_front();
+        debug_assert!(
+            matches!(head, Some((at, _)) if at == now),
+            "lane desync at {now}: head queued for {:?}",
+            head.as_ref().map(|&(at, _)| at)
+        );
+        match head {
+            Some((_, item)) => item,
+            None => panic!("lane event at {now} with an empty lane"),
+        }
+    }
+}
+
+/// Event-loop state kept beside one hop.
+struct HopLink {
+    /// Packets on their way to the hop's entrance.
+    entrance: Lane<Packet>,
+    /// The packet being serialised.
+    in_service: Option<Queued>,
+    /// Whether a RateResume probe is pending.
+    resume_pending: bool,
+}
+
+/// Internal events. Packets and ACKs wait in lanes; events name the lane.
 enum Ev {
+    /// The head of hop `hop`'s entrance lane reaches it, or the head of
+    /// the receiver's lane reaches the receiver when `hop` is one past
+    /// the last hop.
     Arrive {
         hop: usize,
-        pkt: Packet,
     },
     TxDone {
         hop: usize,
@@ -209,9 +272,9 @@ enum Ev {
     RateResume {
         hop: usize,
     },
+    /// The head of the flow's ACK lane reaches its sender.
     AckArrive {
         flow: FlowId,
-        ack: AckInfo,
     },
     Timer {
         flow: FlowId,
@@ -231,15 +294,15 @@ enum Ev {
 pub struct NetSim {
     q: EventQueue<Ev>,
     hops: Vec<Hop>,
+    /// Event-loop state beside each hop.
+    links: Vec<HopLink>,
+    /// Packets in flight from the last hop to the receiver.
+    to_receiver: Lane<Packet>,
     reverse_delay: SimDuration,
     flows: Vec<Flow>,
     cross: Vec<(CrossTraffic, bool)>,
     rng: SimRng,
     next_timer_id: u64,
-    /// Packets currently being serialised per hop.
-    in_service: Vec<Option<Queued>>,
-    /// Whether a RateResume probe is pending per hop.
-    resume_pending: Vec<bool>,
     /// Deepest reassembly (out-of-order) map seen across all flows.
     max_reassembly: usize,
 }
@@ -275,13 +338,19 @@ impl NetSim {
         NetSim {
             q: EventQueue::new(),
             hops,
+            links: (0..n)
+                .map(|_| HopLink {
+                    entrance: Lane::new(),
+                    in_service: None,
+                    resume_pending: false,
+                })
+                .collect(),
+            to_receiver: Lane::new(),
             reverse_delay: path.reverse_delay,
             flows: Vec::new(),
             cross: Vec::new(),
             rng: SimRng::new(seed),
             next_timer_id: 0,
-            in_service: (0..n).map(|_| None).collect(),
-            resume_pending: vec![false; n],
             max_reassembly: 0,
         }
     }
@@ -311,6 +380,7 @@ impl NetSim {
                 sack_cursor: 0,
                 stats: FlowStats::default(),
             },
+            acks: Lane::new(),
             started: false,
         });
         id
@@ -397,6 +467,7 @@ impl NetSim {
                 now: self.q.now(),
                 flow,
                 q: &mut self.q,
+                lane: &mut self.links[0].entrance,
                 rng: &mut self.rng,
                 next_timer_id: &mut self.next_timer_id,
             };
@@ -407,13 +478,26 @@ impl NetSim {
 
     fn dispatch(&mut self, ev: Ev) {
         match ev {
-            Ev::Arrive { hop, pkt } => self.on_arrive(hop, pkt),
+            Ev::Arrive { hop } => {
+                let now = self.q.now();
+                match self.links.get_mut(hop) {
+                    Some(link) => {
+                        let pkt = link.entrance.pop(now);
+                        self.on_arrive(hop, pkt);
+                    }
+                    None => {
+                        let pkt = self.to_receiver.pop(now);
+                        self.deliver(pkt);
+                    }
+                }
+            }
             Ev::TxDone { hop } => self.on_tx_done(hop),
             Ev::RateResume { hop } => {
-                self.resume_pending[hop] = false;
+                self.links[hop].resume_pending = false;
                 self.try_start_service(hop);
             }
-            Ev::AckArrive { flow, ack } => {
+            Ev::AckArrive { flow } => {
+                let ack = self.flows[flow.0 as usize].acks.pop(self.q.now());
                 self.with_sender(flow, |s, ctx| s.on_ack(ack, ctx));
             }
             Ev::Timer { flow, kind, id } => {
@@ -425,10 +509,6 @@ impl NetSim {
     }
 
     fn on_arrive(&mut self, hop_idx: usize, pkt: Packet) {
-        if hop_idx >= self.hops.len() {
-            self.deliver(pkt);
-            return;
-        }
         let now = self.q.now();
         // Fault injection: random early drop.
         let drop_prob = self.hops[hop_idx].config.drop_prob;
@@ -471,14 +551,14 @@ impl NetSim {
                 if qd > hop.stats.max_queue_delay {
                     hop.stats.max_queue_delay = qd;
                 }
-                self.in_service[hop_idx] = Some(head);
+                self.links[hop_idx].in_service = Some(head);
                 self.q.schedule_at(now + ser, Ev::TxDone { hop: hop_idx });
             }
             None => {
                 // Outage: wait for the rate to come back.
-                if !self.resume_pending[hop_idx] {
+                if !self.links[hop_idx].resume_pending {
                     if let Some(t) = hop.config.rate.next_change_after(now) {
-                        self.resume_pending[hop_idx] = true;
+                        self.links[hop_idx].resume_pending = true;
                         self.q.schedule_at(t, Ev::RateResume { hop: hop_idx });
                     }
                     // A permanent outage simply strands the queue.
@@ -489,7 +569,7 @@ impl NetSim {
 
     fn on_tx_done(&mut self, hop_idx: usize) {
         let now = self.q.now();
-        let Some(served) = self.in_service[hop_idx].take() else {
+        let Some(served) = self.links[hop_idx].in_service.take() else {
             debug_assert!(false, "TxDone without a packet in service");
             return;
         };
@@ -517,13 +597,12 @@ impl NetSim {
         };
         // Cross-traffic is sunk after crossing its hop; data moves on.
         if !served.pkt.flow.is_cross() {
-            self.q.schedule_at(
-                exit_at,
-                Ev::Arrive {
-                    hop: hop_idx + 1,
-                    pkt: served.pkt,
-                },
-            );
+            let next = hop_idx + 1;
+            let lane = match self.links.get_mut(next) {
+                Some(link) => &mut link.entrance,
+                None => &mut self.to_receiver,
+            };
+            lane.push(&mut self.q, exit_at, Ev::Arrive { hop: next }, served.pkt);
         }
         self.try_start_service(hop_idx);
     }
@@ -625,12 +704,11 @@ impl NetSim {
                 sack_len,
                 ooo_bytes,
             };
-            self.q.schedule_at(
+            self.flows[flow_idx].acks.push(
+                &mut self.q,
                 now + self.reverse_delay,
-                Ev::AckArrive {
-                    flow: pkt.flow,
-                    ack,
-                },
+                Ev::AckArrive { flow: pkt.flow },
+                ack,
             );
         }
     }
@@ -890,8 +968,10 @@ mod tests {
 
     #[test]
     fn timers_fire_in_order() {
+        use std::cell::RefCell;
+        use std::rc::Rc;
         struct TimerUser {
-            fired: Vec<u64>,
+            fired: Rc<RefCell<Vec<u32>>>,
         }
         impl Endpoint for TimerUser {
             fn on_start(&mut self, ctx: &mut Ctx) {
@@ -901,16 +981,123 @@ mod tests {
             fn on_ack(&mut self, _: AckInfo, _: &mut Ctx) {}
             fn on_timer(&mut self, kind: TimerKind, _: u64, _: &mut Ctx) {
                 if let TimerKind::Aux(n) = kind {
-                    self.fired.push(n as u64);
+                    self.fired.borrow_mut().push(n);
                 }
             }
         }
+        let fired = Rc::new(RefCell::new(Vec::new()));
         let mut sim = NetSim::new(one_hop_path(100.0, 10), 8);
-        sim.add_flow(Box::new(TimerUser { fired: vec![] }), true, false);
+        sim.add_flow(
+            Box::new(TimerUser {
+                fired: Rc::clone(&fired),
+            }),
+            true,
+            false,
+        );
         sim.run_until(SimTime::from_secs(1));
-        // Inspect by re-borrowing the sender box — easiest is indirect:
-        // the ordering property is already exercised by the event queue
-        // tests; here we just ensure timers do not panic.
+        assert_eq!(*fired.borrow(), vec![1, 0], "10 ms timer fires first");
+    }
+
+    /// Packets and ACKs in flight, summed over every lane.
+    fn in_flight(sim: &NetSim) -> usize {
+        sim.links.iter().map(|l| l.entrance.0.len()).sum::<usize>()
+            + sim.to_receiver.0.len()
+            + sim.flows.iter().map(|f| f.acks.0.len()).sum::<usize>()
+    }
+
+    #[test]
+    fn lanes_stay_in_step_across_jitter_cross_traffic_and_outage() {
+        use crate::crosstraffic::CrossTraffic;
+        use crate::ratemodel::RateModel;
+        use fiveg_simcore::dist::Dist;
+        use fiveg_simcore::BitRate;
+
+        /// Keeps a window of packets in flight, one new packet per ACK,
+        /// until `total` have been sent.
+        struct Windowed {
+            window: u64,
+            total: u64,
+            sent: u64,
+        }
+        impl Windowed {
+            fn send_one(&mut self, ctx: &mut Ctx) {
+                if self.sent < self.total {
+                    ctx.send_packet(self.sent * MSS_BYTES as u64, MSS_BYTES, false);
+                    self.sent += 1;
+                }
+            }
+        }
+        impl Endpoint for Windowed {
+            fn on_start(&mut self, ctx: &mut Ctx) {
+                for _ in 0..self.window {
+                    self.send_one(ctx);
+                }
+            }
+            fn on_ack(&mut self, _: AckInfo, ctx: &mut Ctx) {
+                self.send_one(ctx);
+            }
+            fn on_timer(&mut self, _: TimerKind, _: u64, _: &mut Ctx) {}
+        }
+
+        // A 3-hop path: the middle (radio-like) hop jitters every exit,
+        // carries cross traffic and goes dark from 10 to 40 ms. Queues
+        // are deep enough that no data packet is dropped, so every
+        // packet sent must come out of the receiver's lane.
+        let mut radio = HopConfig::wired("radio", 50.0, SimDuration::from_millis(2), 100_000);
+        radio.extra_delay_ms = Some(Dist::Uniform { lo: 0.0, hi: 3.0 });
+        radio.rate = RateModel::piecewise(vec![
+            (SimTime::ZERO, BitRate::from_mbps(50.0)),
+            (SimTime::from_millis(10), BitRate::ZERO),
+            (SimTime::from_millis(40), BitRate::from_mbps(50.0)),
+        ]);
+        let path = PathConfig {
+            hops: vec![
+                HopConfig::wired("core", 200.0, SimDuration::from_millis(1), 100_000),
+                radio,
+                HopConfig::wired("metro", 100.0, SimDuration::from_millis(1), 100_000),
+            ],
+            reverse_delay: SimDuration::from_millis(5),
+        };
+        let mut sim = NetSim::new(path, 11);
+        sim.add_cross_traffic(CrossTraffic {
+            hop: 1,
+            rate: BitRate::from_mbps(20.0),
+            on_ms: Dist::Uniform { lo: 5.0, hi: 20.0 },
+            off_ms: Dist::Uniform { lo: 1.0, hi: 10.0 },
+        });
+        let total = 400;
+        let flow = sim.add_flow(
+            Box::new(Windowed {
+                window: 40,
+                total,
+                sent: 0,
+            }),
+            true,
+            false,
+        );
+        let bytes = total * MSS_BYTES as u64;
+
+        // Stop once a quarter is delivered, then resume across a
+        // deadline that falls with packets still in flight.
+        let t = sim
+            .run_until_delivered(flow, bytes / 4, SimTime::from_secs(5))
+            .expect("a quarter delivered");
+        assert!(
+            t > SimTime::from_millis(40),
+            "the outage delays delivery: {t}"
+        );
+        sim.run_until(t + SimDuration::from_millis(7));
+        assert!(
+            in_flight(&sim) > 0,
+            "the deadline should cut through traffic"
+        );
+        assert!(sim.hop_stats(1).max_queue_pkts > 1);
+        sim.run_until(SimTime::from_secs(5));
+
+        let st = sim.flow_stats(flow);
+        assert_eq!(st.packets_received, total);
+        assert_eq!(st.bytes_in_order, bytes);
+        assert_eq!(in_flight(&sim), 0, "every lane drained");
     }
 
     #[test]

@@ -3,6 +3,8 @@
 use fiveg_simcore::dist::Dist;
 use fiveg_simcore::{Cdf, EventQueue, Histogram, OnlineStats, SimDuration, SimRng, SimTime};
 use proptest::prelude::*;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 proptest! {
     /// Events always pop in non-decreasing time order, with FIFO ties.
@@ -140,5 +142,115 @@ proptest! {
         prop_assert!(sum >= da || sum == SimDuration::MAX);
         let diff = da - db;
         prop_assert!(diff <= da);
+    }
+}
+
+/// The obvious event queue: a binary heap ordered by `(at, seq)`, with
+/// the same clock rules as [`EventQueue`]. The radix heap must pop
+/// exactly what this pops.
+struct ReferenceQueue {
+    heap: BinaryHeap<Reverse<(SimTime, u64, usize)>>,
+    now: SimTime,
+    next_seq: u64,
+    popped: u64,
+}
+
+impl ReferenceQueue {
+    fn schedule_at(&mut self, at: SimTime, payload: usize) -> u64 {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.heap.push(Reverse((at.max(self.now), seq, payload)));
+        seq
+    }
+
+    fn pop_until(&mut self, deadline: SimTime) -> Option<(SimTime, u64, usize)> {
+        match self.heap.peek() {
+            Some(Reverse((at, ..))) if *at <= deadline => {
+                let Reverse(ev) = self.heap.pop()?;
+                self.now = ev.0;
+                self.popped += 1;
+                Some(ev)
+            }
+            _ => None,
+        }
+    }
+
+    fn advance_to(&mut self, at: SimTime) {
+        self.now = self.now.max(at);
+    }
+}
+
+/// How far ahead of the clock an operation reaches: mostly zero or a few
+/// nanoseconds, so same-time ties are common, with some reaching far
+/// enough to spread keys over many radix buckets.
+fn reach(pick: u8, raw: u64) -> SimDuration {
+    SimDuration::from_nanos(match pick {
+        0..=2 => 0,
+        3 | 4 => raw % 100,
+        5 | 6 => raw,
+        _ => raw * 1_000,
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The radix-heap queue and a reference binary heap keyed by
+    /// `(at, seq)`, driven through the same random interleaving of
+    /// schedules, pops, bounded pops and clock advances, produce the same
+    /// events in the same order with the same clock after every step.
+    #[test]
+    fn event_queue_matches_reference_heap(
+        ops in prop::collection::vec((0u8..8, 0u8..8, 0u64..5_000_000), 1..400),
+    ) {
+        let mut q = EventQueue::new();
+        let mut r = ReferenceQueue {
+            heap: BinaryHeap::new(),
+            now: SimTime::ZERO,
+            next_seq: 0,
+            popped: 0,
+        };
+        for (i, &(op, pick, raw)) in ops.iter().enumerate() {
+            let d = reach(pick, raw);
+            match op {
+                0..=3 => {
+                    let at = q.now() + d;
+                    prop_assert_eq!(q.schedule_at(at, i), r.schedule_at(at, i));
+                }
+                4 => prop_assert_eq!(q.schedule_in(d, i), r.schedule_at(r.now + d, i)),
+                5 => {
+                    let got = q.pop().map(|e| (e.at, e.seq, e.payload));
+                    prop_assert_eq!(got, r.pop_until(SimTime::MAX));
+                }
+                6 => {
+                    let deadline = q.now() + d;
+                    let got = q.pop_until(deadline).map(|e| (e.at, e.seq, e.payload));
+                    prop_assert_eq!(got, r.pop_until(deadline));
+                }
+                _ => {
+                    // Callers advance only over idle time (`run_until`
+                    // drains up to its deadline first), so stop at the
+                    // next pending event.
+                    let to = r.heap.peek().map_or(r.now + d, |Reverse(ev)| ev.0.min(r.now + d));
+                    q.advance_to(to);
+                    r.advance_to(to);
+                }
+            }
+            prop_assert_eq!(q.now(), r.now);
+            prop_assert_eq!(q.len(), r.heap.len());
+            prop_assert_eq!(q.executed(), r.popped);
+            prop_assert_eq!(q.peek_time(), r.heap.peek().map(|Reverse(ev)| ev.0));
+        }
+        // Drain what is left: the tails must match too.
+        loop {
+            let got = q.pop().map(|e| (e.at, e.seq, e.payload));
+            let want = r.pop_until(SimTime::MAX);
+            prop_assert_eq!(got, want);
+            if want.is_none() {
+                break;
+            }
+        }
+        prop_assert_eq!(q.executed(), r.popped);
+        prop_assert!(q.is_empty());
     }
 }
