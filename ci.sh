@@ -93,9 +93,10 @@ stage "rustfmt --check (workspace)"
 find crates tests examples -name '*.rs' -not -path '*/fixtures/*' -print0 \
   | xargs -0 rustfmt --edition 2021 --check
 
-# Determinism linter, before anything expensive: no *new* D001-D005 /
-# U001 findings beyond golden/lint-baseline.json. On failure fiveg-lint
-# names the rule id with the most new findings and the pragma to use.
+# Determinism linter, before anything expensive: the project rules
+# rustc/clippy cannot check (D002, S001-S003, F001, W001-W002, L000),
+# held at zero findings. On failure fiveg-lint names the rule id with
+# the most findings and the pragma to use.
 stage "fiveg-lint --check (determinism invariants)"
 cargo run --release -q -p fiveg-lint -- --check
 
@@ -104,8 +105,11 @@ cargo run --release -q -p fiveg-lint -- --check
 stage "lint self-test (fixture suite)"
 cargo run --release -q -p fiveg-lint -- --self-test
 
+# Libraries, binaries and examples under the workspace lint table and
+# clippy.toml: forbid(unsafe_code), missing_docs, unwrap/expect, and
+# the HashMap/HashSet and wall-clock bans, all as errors.
 stage "cargo clippy --workspace"
-cargo clippy --release --workspace -- -D warnings
+cargo clippy --release --workspace --lib --bins --examples -- -D warnings
 
 stage "cargo build --release"
 cargo build --release --workspace
@@ -142,9 +146,9 @@ else
 fi
 
 # Rustdoc as a hard gate: broken intra-doc links or malformed doc
-# fragments are docs-rot the moment they land, and W003 (pub items
-# must be documented) only keeps its teeth if what's written actually
-# renders.
+# fragments are docs-rot the moment they land, and `missing_docs` (pub
+# items must be documented) only keeps its teeth if what's written
+# actually renders.
 stage "cargo doc --workspace --no-deps (-D warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --release --workspace --no-deps -q
 

@@ -14,9 +14,6 @@
 //!   streaming over the calibrated paths, freeze detection and
 //!   stopwatch frame delay (Figs. 18–20).
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod video;
 pub mod web;
 

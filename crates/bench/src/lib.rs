@@ -4,9 +4,6 @@
 //! the `repro` binary that regenerates every table and figure of the
 //! paper as text + JSON artifacts.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod micro;
 pub mod report;
 

@@ -3,6 +3,10 @@
 
 use std::process::Command;
 
+#[expect(
+    clippy::expect_used,
+    reason = "test helper: a binary that cannot start fails the test"
+)]
 fn repro(args: &[&str]) -> std::process::Output {
     Command::new(env!("CARGO_BIN_EXE_repro"))
         .args(args)

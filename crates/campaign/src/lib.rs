@@ -41,9 +41,6 @@
 //! assert!(report.results[0].is_ok());
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod artifacts;
 pub mod executor;
 pub mod golden;

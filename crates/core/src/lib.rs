@@ -36,9 +36,6 @@
 //! assert!(kpi.serving.rsrp.value() > -140.0);
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod calib;
 pub mod experiments;
 pub mod jobs;

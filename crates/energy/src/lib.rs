@@ -16,9 +16,6 @@
 //!   NR NSA, NR Oracle (perfect sleep) and the paper's dynamic 4G/5G
 //!   switching heuristic.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod machine;
 pub mod params;
 pub mod profile;

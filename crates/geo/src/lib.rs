@@ -26,9 +26,6 @@
 //! * [`mobility`] — walk/bike mobility models producing timestamped
 //!   position traces (road survey, random waypoint, linear transects).
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod building;
 pub mod campus;
 pub mod city;

@@ -3,32 +3,18 @@
 //! Known-negative snippets: nothing here may produce a finding. Each
 //! block is a near-miss for one rule.
 
-// D001 near-misses: ordered containers, and the name inside strings,
-// comments (HashMap) and raw strings.
-use std::collections::{BTreeMap, BTreeSet};
-
-fn ordered() -> BTreeMap<u32, BTreeSet<u32>> {
-    let doc = "HashMap iteration order is the hazard";
-    let raw = r#"HashSet too"#;
-    let _ = (doc, raw);
-    BTreeMap::new()
-}
-
-// D002 near-misses: total_cmp comparators, and a PartialOrd impl whose
-// `partial_cmp` is a definition, not a comparator.
+// D002 near-misses: total_cmp comparators, the names inside strings
+// and comments, and a PartialOrd impl whose `partial_cmp` is a
+// definition, not a comparator.
 fn sorted(mut v: Vec<f64>) -> Vec<f64> {
     v.sort_by(|a, b| a.total_cmp(b));
     v.sort_unstable_by(f64::total_cmp);
+    // v.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    let _ = "v.sort_by(|a, b| a.partial_cmp(b))";
     v
 }
 
 struct Wrapped(f64);
-
-impl PartialEq for Wrapped {
-    fn eq(&self, other: &Self) -> bool {
-        self.0 == other.0
-    }
-}
 
 impl PartialOrd for Wrapped {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
@@ -36,49 +22,16 @@ impl PartialOrd for Wrapped {
     }
 }
 
-// D003 near-miss: storing/passing an Instant is fine; only `::now()`
-// reads the wall clock.
-fn annotate(t: std::time::Instant) -> std::time::Instant {
-    t
+// S002 near-miss: only the FIVEG_* namespace is governed.
+fn home() -> bool {
+    std::env::var("HOME").is_ok()
 }
 
-// D004 near-miss: immutable statics are fine.
-static LOOKUP: [u8; 4] = [1, 2, 3, 4];
-
-// D005 / U001 near-misses: seeded RNG, non-panicking accessors, and
-// panicking calls confined to test code.
-fn seeded(seed: u64) -> u64 {
-    let _ = LOOKUP;
-    seed.wrapping_mul(0x9e37_79b9_7f4a_7c15)
-}
-
-fn safe(o: Option<u64>) -> u64 {
-    o.unwrap_or(0)
-}
-
-// U001 near-miss: `self.expect(...)` is a custom parser method, not
-// Option/Result::expect.
-struct Parser;
-
-impl Parser {
-    fn expect(&mut self, _b: u8) -> Result<(), ()> {
-        Ok(())
-    }
-
-    fn object(&mut self) -> Result<(), ()> {
-        self.expect(b'{')?;
-        self.expect(b'}')
-    }
-}
-
+// Test code may read the environment.
 #[cfg(test)]
 mod tests {
-    use std::collections::HashSet;
-
     #[test]
-    fn unwrap_is_fine_in_tests() {
-        let mut seen = HashSet::new();
-        seen.insert(Some(1).unwrap());
-        assert!(seen.contains(&1));
+    fn env_is_fine_in_tests() {
+        let _ = std::env::var("FIVEG_SHARDS");
     }
 }

@@ -1,31 +1,19 @@
 //! lint-fixture-path: crates/phy/src/fixture.rs
 //!
-//! Known-positive snippets: every determinism rule must fire exactly
-//! where the expectation markers say. This file is never compiled —
-//! the self-test only tokenizes it.
-
-use std::collections::HashMap; //~ D001
-use std::time::Instant;
-
-struct Grid {
-    cells: HashMap<u32, f64>, //~ D001
-}
-
-static mut GLOBAL_SCRATCH: [f64; 8] = [0.0; 8]; //~ D004
+//! Known-positive D002 snippets: a comparator built on `partial_cmp`
+//! must fire exactly where the expectation markers say. This file is
+//! never compiled — the self-test only parses it.
 
 fn hazards(mut v: Vec<f64>) -> f64 {
-    v.sort_by(|a, b| a.partial_cmp(b).unwrap()); //~ D002 U001
+    v.sort_by(|a, b| a.partial_cmp(b).unwrap()); //~ D002
+    v.sort_unstable_by(|a, b| b.partial_cmp(a).unwrap()); //~ D002
+    let lo = v.iter().min_by(|a, b| a.partial_cmp(b).unwrap()); //~ D002
     let best = v
         .iter()
-        .max_by(|a, b| a.partial_cmp(b).expect("no NaN")); //~ D002 U001
-    let started = Instant::now(); //~ D003
-    let _ = SystemTime::now(); //~ D003
-    let mut rng = thread_rng(); //~ D005
-    let other = SmallRng::from_entropy(); //~ D005
-    let _ = (started, rng, other);
-    *best.unwrap() //~ U001
-}
-
-fn panicky(o: Option<u64>) -> u64 {
-    o.expect("set by caller") //~ U001
+        .max_by(|a, b| {
+            a.partial_cmp(b) //~ D002
+                .expect("no NaN")
+        });
+    let _ = v.binary_search_by(|x| x.partial_cmp(&0.5).unwrap()); //~ D002
+    *best.unwrap() + *lo.unwrap()
 }

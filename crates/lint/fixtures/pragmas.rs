@@ -1,32 +1,29 @@
-//! lint-fixture-path: crates/campaign/src/fixture.rs
+//! lint-fixture-path: crates/net/src/fixture.rs
 //!
 //! Pragma behaviour: a well-formed pragma suppresses exactly its rules
 //! on its own line and the next; malformed pragmas are L000 findings.
 
-use std::time::Instant;
-
-fn timed() -> Instant {
-    // fiveg-lint: allow(D003) -- wall time feeds the manifest, not artifacts
-    Instant::now()
+fn above(v: &mut [f64]) {
+    // fiveg-lint: allow(D002) -- inputs are NaN-free by construction
+    v.sort_by(|a, b| a.partial_cmp(b).unwrap());
 }
 
-fn trailing(o: Option<u64>) -> u64 {
-    o.unwrap() // fiveg-lint: allow(U001) -- invariant: caller checked is_some
+fn trailing() -> bool {
+    std::env::var("FIVEG_KNOB").is_ok() // fiveg-lint: allow(S002) -- fixture
 }
 
-fn not_covered(o: Option<u64>) -> u64 {
-    // fiveg-lint: allow(U001) -- only shields the next line
-    let a = o.unwrap();
-    let b = o.unwrap(); //~ U001
-    a + b
+fn not_covered(v: &mut [f64]) {
+    // fiveg-lint: allow(D002) -- only shields the next line
+    v.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    v.sort_by(|a, b| a.partial_cmp(b).unwrap()); //~ D002
 }
 
-// fiveg-lint: allow(U001)
+// fiveg-lint: allow(D002)
 //~^ L000
-fn missing_reason(o: Option<u64>) -> u64 {
-    o.unwrap() //~ U001
+fn missing_reason(v: &mut [f64]) {
+    v.sort_by(|a, b| a.partial_cmp(b).unwrap()); //~ D002
 }
 
-// fiveg-lint: allow(Z999) -- unknown rule id
+// fiveg-lint: allow(U001) -- a rule now enforced by clippy
 //~^ L000
-fn unknown_rule() {}
+fn retired_rule() {}

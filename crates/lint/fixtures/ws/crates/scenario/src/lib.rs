@@ -1,4 +1,4 @@
-//! lint ws fixture: a library crate root missing its forbid. //~ W002
+//! lint ws fixture: a crate whose manifest skips the lint opt-in.
 
-/// Documented, so no W003 rides along.
+/// Documented, but the crate escapes the workspace lints (W002).
 pub fn scenario_probe() {}

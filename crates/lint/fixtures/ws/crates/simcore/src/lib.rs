@@ -1,8 +1,6 @@
 //! lint ws fixture: the callee crate — its ambient write is flagged
 //! because a `ShardLogic` handler in the crate above reaches it.
 
-#![forbid(unsafe_code)]
-
 /// Reached from `fiveg-core`'s handler: tainted across the crate edge.
 pub fn simcore_flush(at: u64) {
     fiveg_obs::counter_add("ws.flush", at); //~ S001

@@ -2,36 +2,24 @@
 //!
 //! The campaign goldens prove *that* every artifact is byte-identical
 //! for any `--jobs`/thread count; this crate proves *where* a hazard
-//! entered. It scans `crates/`, `tests/` and `examples/` (never
-//! `vendor/`) with its own Rust tokenizer and enforces the project's
-//! determinism invariants as named rules (see [`rules::RULES`]):
+//! entered. It checks only what rustc and clippy cannot: the
+//! workspace's own invariants, as named rules (see [`rules::RULES`]).
+//! Everything a compiler lint can do lives in the workspace lint table
+//! (`Cargo.toml`) and `clippy.toml` instead; W002 makes sure no crate
+//! escapes that policy.
 //!
-//! | rule | invariant |
-//! |------|-----------|
-//! | D001 | no `HashMap`/`HashSet` in sim-crate library code |
-//! | D002 | no float comparators built on `partial_cmp` |
-//! | D003 | no wall-clock reads outside `fiveg-obs` |
-//! | D004 | no `static mut` globals |
-//! | D005 | no unseeded RNG outside tests |
-//! | U001 | no `unwrap()`/`expect()` in library code |
+//! One engine runs every rule: each file under `crates/`, `tests/`
+//! and `examples/` (never `vendor/`) goes through the [`tokenizer`]
+//! and the item [`parser`], and the [`workspace`] pass evaluates the
+//! rule families over all parsed files plus the crate manifests:
+//! D002 (float comparators), S001–S003 (shard safety), F001 (float
+//! determinism), W001–W002 (workspace architecture) and L000
+//! (malformed pragmas).
 //!
-//! On top of the per-file token scan, a workspace-level *semantic*
-//! pass ([`workspace`]) parses every file into an item model
-//! ([`parser`]), resolves a name-based call graph, and enforces the
-//! cross-file rule families: S-rules (shard safety: S001–S003),
-//! F-rules (float determinism: F001) and W-rules (workspace
-//! architecture: W001–W003). See [`workspace`] for the rule semantics
-//! and the declared crate-layering DAG.
-//!
-//! Suppression is explicit — a
-//! `// fiveg-lint: allow(D00x) -- reason` pragma — or grandfathered
-//! through the committed `golden/lint-baseline.json` ratchet, so CI
-//! fails only on *new* findings and the baseline shrinks over time.
+//! Suppression is explicit and local — a
+//! `// fiveg-lint: allow(RULE) -- reason` pragma on the line or the
+//! line above — and `--check` fails on any finding left.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
-pub mod baseline;
 pub mod parser;
 pub mod rules;
 pub mod selftest;
@@ -41,14 +29,10 @@ pub mod workspace;
 use std::fs;
 use std::path::{Path, PathBuf};
 
-pub use baseline::{Baseline, BaselineError};
-pub use rules::{scan_file, FileCtx, FileKind, Finding, RULES};
+pub use rules::{FileCtx, FileKind, Finding, RULES};
 
 /// Directories scanned under the workspace root.
 pub const SCAN_ROOTS: &[&str] = &["crates", "tests", "examples"];
-
-/// Default baseline location relative to the workspace root.
-pub const BASELINE_PATH: &str = "golden/lint-baseline.json";
 
 /// Everything one scan produced.
 #[derive(Debug, Default)]
@@ -61,9 +45,8 @@ pub struct ScanReport {
     pub files: usize,
 }
 
-/// Scans the workspace rooted at `root`: the per-file token rules on
-/// every source file, then the semantic workspace pass (S/F/W rules)
-/// over the whole set plus the crate manifests. Files are visited in
+/// Scans the workspace rooted at `root`: every source file plus the
+/// crate manifests through the workspace pass. Files are visited in
 /// sorted path order so the report is deterministic; `vendor/`,
 /// `target/` and lint fixture directories are never scanned.
 pub fn scan_workspace(root: &Path) -> std::io::Result<ScanReport> {
@@ -72,7 +55,6 @@ pub fn scan_workspace(root: &Path) -> std::io::Result<ScanReport> {
         collect_rs_files(&root.join(dir), &mut files)?;
     }
     files.sort();
-    let mut report = ScanReport::default();
     let mut sources: Vec<workspace::SourceFile> = Vec::new();
     for path in files {
         let rel = path
@@ -84,20 +66,15 @@ pub fn scan_workspace(root: &Path) -> std::io::Result<ScanReport> {
             continue;
         };
         let src = fs::read_to_string(&path)?;
-        let (findings, suppressed) = scan_file(&ctx, &src);
-        report.findings.extend(findings);
-        report.suppressed += suppressed;
-        report.files += 1;
         sources.push(workspace::SourceFile { ctx, src });
     }
     let manifests = workspace::load_manifests(root)?;
-    let (semantic, suppressed) = workspace::analyze(&sources, &manifests);
-    report.findings.extend(semantic);
-    report.suppressed += suppressed;
-    report
-        .findings
-        .sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
-    Ok(report)
+    let (findings, suppressed) = workspace::analyze(&sources, &manifests);
+    Ok(ScanReport {
+        findings,
+        suppressed,
+        files: sources.len(),
+    })
 }
 
 fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
@@ -124,61 +101,17 @@ fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
     Ok(())
 }
 
-/// Renders findings as the stable JSON report (`--json`): findings
-/// sorted by (file, line, rule), object keys sorted, no wall-clock or
-/// host-dependent fields — byte-identical across runs and machines.
-pub fn report_json(report: &ScanReport, base: &Baseline) -> String {
-    let (_, new) = base.split(&report.findings);
-    let new_keys: std::collections::BTreeSet<(&str, u32, &str)> = new
-        .iter()
-        .map(|f| (f.file.as_str(), f.line, f.rule))
-        .collect();
-    let mut out = String::from("{\n  \"findings\": [\n");
-    let mut first = true;
-    for f in &report.findings {
-        if !first {
-            out.push_str(",\n");
-        }
-        first = false;
-        let is_new = new_keys.contains(&(f.file.as_str(), f.line, f.rule));
-        out.push_str("    {\"excerpt\": ");
-        baseline::escape_json_into(&mut out, &f.excerpt);
-        out.push_str(", \"file\": ");
-        baseline::escape_json_into(&mut out, &f.file);
-        out.push_str(", \"hint\": ");
-        baseline::escape_json_into(&mut out, f.hint);
-        out.push_str(&format!(
-            ", \"line\": {}, \"new\": {}, \"rule\": ",
-            f.line, is_new
-        ));
-        baseline::escape_json_into(&mut out, f.rule);
-        out.push('}');
-    }
-    if !report.findings.is_empty() {
-        out.push('\n');
-    }
-    out.push_str("  ],\n");
-    out.push_str(&format!(
-        "  \"summary\": {{\"files\": {}, \"new\": {}, \"suppressed\": {}, \"total\": {}}},\n",
-        report.files,
-        new.len(),
-        report.suppressed,
-        report.findings.len()
-    ));
-    out.push_str("  \"schema\": 1\n}\n");
-    out
-}
-
-/// The rule id with the most entries in `new`, with its count — named
-/// in the CI failure message so the offending invariant is obvious.
-pub fn worst_rule<'a>(new: &[&'a Finding]) -> Option<(&'a str, usize)> {
+/// The rule id with the most entries in `findings`, with its count —
+/// named in the CI failure message so the offending invariant is
+/// obvious.
+pub fn worst_rule(findings: &[Finding]) -> Option<(&'static str, usize)> {
     let mut counts: std::collections::BTreeMap<&str, usize> = std::collections::BTreeMap::new();
-    for f in new {
+    for f in findings {
         *counts.entry(f.rule).or_insert(0) += 1;
     }
     // max_by_key returns the *last* max; iterate explicitly so ties
     // break toward the lexically-first rule id, deterministically.
-    let mut best: Option<(&str, usize)> = None;
+    let mut best: Option<(&'static str, usize)> = None;
     for (rule, count) in counts {
         if best.is_none_or(|(_, c)| count > c) {
             best = Some((rule, count));
@@ -200,41 +133,9 @@ mod tests {
             excerpt: String::new(),
             hint: "",
         };
-        let a = mk("U001");
-        let b = mk("D001");
-        let c = mk("D001");
-        let new = vec![&a, &b, &c];
-        assert_eq!(worst_rule(&new), Some(("D001", 2)));
-        let tie = vec![&a, &b];
-        assert_eq!(worst_rule(&tie), Some(("D001", 1)));
+        let found = [mk("S002"), mk("D002"), mk("D002")];
+        assert_eq!(worst_rule(&found), Some(("D002", 2)));
+        assert_eq!(worst_rule(&found[..2]), Some(("D002", 1)));
         assert_eq!(worst_rule(&[]), None);
-    }
-
-    #[test]
-    fn report_json_is_stable() {
-        let report = ScanReport {
-            findings: vec![Finding {
-                file: "crates/x/src/a.rs".into(),
-                line: 3,
-                rule: "U001",
-                excerpt: "x.unwrap();".into(),
-                hint: "h",
-            }],
-            suppressed: 1,
-            files: 2,
-        };
-        let base = Baseline::default();
-        let one = report_json(&report, &base);
-        let two = report_json(&report, &base);
-        assert_eq!(one, two);
-        assert!(one.contains("\"new\": true"));
-        let parsed = fiveg_obs::parse_json(&one).expect("valid json");
-        assert_eq!(
-            parsed
-                .get("summary")
-                .and_then(|s| s.get("total"))
-                .and_then(fiveg_obs::JsonValue::as_u64),
-            Some(1)
-        );
     }
 }

@@ -1,19 +1,20 @@
 //! Item-level parsing on top of [`crate::tokenizer`].
 //!
-//! The workspace rules (S/F/W families) need more structure than a
-//! token stream: which `fn` a call site lives in, whether that fn sits
-//! inside an `impl ShardLogic for ...` block, where a parallel-closure
-//! region starts and ends, which `pub` items carry a rustdoc comment.
-//! This module recovers exactly that — modules, `fn`/`impl`/`trait`
-//! items, statics, `thread_local!` declarations and closure-bearing
-//! call regions — as a flat [`FileModel`] of *facts*, still with zero
-//! external dependencies.
+//! The rules need more structure than a token stream: which `fn` a
+//! call site lives in, whether that fn sits inside an
+//! `impl ShardLogic for ...` block, where a parallel-closure or
+//! comparator region starts and ends, which lines are test code, and
+//! which pragmas a file carries. This module recovers exactly that —
+//! modules, `fn`/`impl`/`trait` items, statics, `thread_local!`
+//! declarations and closure-bearing call regions — as a flat
+//! [`FileModel`] of *facts*, still with zero external dependencies.
 //!
 //! Like the tokenizer, the parser must never fail: on syntactically
 //! broken input it degrades to recording fewer facts, never panics and
 //! never reports a line outside the file. (A property test drives
 //! arbitrary inputs through it.)
 
+use crate::rules::pragma;
 use crate::tokenizer::{tokenize, Tok, TokKind};
 
 /// The innermost `impl` block a fn sits in.
@@ -45,10 +46,6 @@ pub struct FnInfo {
     pub line: u32,
     /// Innermost enclosing `impl` block, if any.
     pub impl_ctx: Option<ImplCtx>,
-    /// `pub` without a `pub(...)` restriction.
-    pub is_pub: bool,
-    /// Preceded by a `///` / `/**` / `#[doc]` comment.
-    pub has_doc: bool,
     /// Every `name(` call site in the body (methods and plain calls).
     pub calls: Vec<Call>,
     /// SCREAMING_SNAKE_CASE identifiers referenced in the body — the
@@ -67,19 +64,6 @@ pub struct StaticInfo {
     pub ty: String,
     /// Declared inside a `thread_local! { ... }` block.
     pub thread_local: bool,
-}
-
-/// A `pub` item eligible for the W003 doc ratchet.
-#[derive(Debug, Clone)]
-pub struct PubItem {
-    /// Item keyword (`fn`, `struct`, ...).
-    pub kind: &'static str,
-    /// The item's name.
-    pub name: String,
-    /// 1-based line of the item keyword.
-    pub line: u32,
-    /// Preceded by a rustdoc comment.
-    pub has_doc: bool,
 }
 
 /// A float-accumulation hazard inside a parallel-closure region (F001).
@@ -107,14 +91,19 @@ pub struct FileModel {
     pub fns: Vec<FnInfo>,
     /// Item-level statics and `thread_local!` declarations.
     pub statics: Vec<StaticInfo>,
-    /// `pub` items for the doc ratchet.
-    pub pub_items: Vec<PubItem>,
     /// Float accumulations inside `par_map*` / `thread::scope` closures.
     pub float_par: Vec<FloatAccum>,
+    /// Lines of `partial_cmp` inside the argument list of a
+    /// `sort_by`-family call (D002).
+    pub float_cmp: Vec<u32>,
     /// `FIVEG_*` environment reads.
     pub env_reads: Vec<EnvRead>,
-    /// File has an inner `#![forbid(unsafe_code)]` attribute.
-    pub forbids_unsafe: bool,
+    /// Line ranges of `#[test]` / `#[cfg(test)]` items.
+    pub test_regions: Vec<(u32, u32)>,
+    /// Well-formed `fiveg-lint: allow(..)` pragmas: line and rules.
+    pub pragmas: Vec<(u32, Vec<&'static str>)>,
+    /// Lines of malformed pragmas (L000).
+    pub bad_pragmas: Vec<u32>,
     /// Number of lines in the file (span sanity bound).
     pub lines: u32,
 }
@@ -131,43 +120,45 @@ const NON_CALL_KEYWORDS: &[&str] = &[
 /// passed to them runs on multiple workers concurrently.
 const PAR_ENTRYPOINTS: &[&str] = &["par_map", "par_map_threads", "par_map_with"];
 
+/// Methods whose argument is an ordering comparator (D002).
+const SORT_FAMILY: &[&str] = &[
+    "sort_by",
+    "sort_unstable_by",
+    "min_by",
+    "max_by",
+    "binary_search_by",
+];
+
 /// Parses one file into its fact model. Never panics; unknown syntax
 /// is skipped, not diagnosed.
 pub fn parse_file(src: &str) -> FileModel {
     let toks = tokenize(src);
-    let sig: Vec<&Tok> = toks.iter().filter(|t| !t.is_comment()).collect();
-    // `has_doc` needs the comment tokens: for each significant token,
-    // remember its index in the full stream.
-    let full_index: Vec<usize> = toks
-        .iter()
-        .enumerate()
-        .filter(|(_, t)| !t.is_comment())
-        .map(|(i, _)| i)
-        .collect();
-    let mut p = Parser {
-        toks: &toks,
-        sig: &sig,
-        full_index: &full_index,
-        model: FileModel {
-            lines: src.lines().count() as u32 + 1,
-            ..FileModel::default()
-        },
+    let mut model = FileModel {
+        lines: src.lines().count() as u32 + 1,
+        ..FileModel::default()
     };
-    p.scan_inner_attrs();
+    for t in toks.iter().filter(|t| t.is_comment()) {
+        match pragma(t) {
+            Some(Ok(rules)) => model.pragmas.push((t.line, rules)),
+            Some(Err(())) => model.bad_pragmas.push(t.line),
+            None => {}
+        }
+    }
+    let sig: Vec<&Tok> = toks.iter().filter(|t| !t.is_comment()).collect();
+    let mut p = Parser { sig: &sig, model };
+    p.scan_test_regions();
     let mut i = 0;
     p.parse_items(&mut i, sig.len(), None);
     p.model
 }
 
 struct Parser<'a, 'b> {
-    toks: &'b [Tok<'a>],
     sig: &'b [&'b Tok<'a>],
-    full_index: &'b [usize],
     model: FileModel,
 }
 
-impl Parser<'_, '_> {
-    fn text(&self, i: usize) -> &str {
+impl<'a> Parser<'a, '_> {
+    fn text(&self, i: usize) -> &'a str {
         self.sig.get(i).map_or("", |t| t.text)
     }
 
@@ -175,75 +166,42 @@ impl Parser<'_, '_> {
         self.sig.get(i).map_or(1, |t| t.line)
     }
 
-    /// Detects `#![forbid(unsafe_code)]` anywhere in the file (crate
-    /// roots carry it as the inner attribute block).
-    fn scan_inner_attrs(&mut self) {
-        for w in self.sig.windows(6) {
-            if w[0].text == "#"
-                && w[1].text == "!"
-                && w[2].text == "["
-                && w[3].text == "forbid"
-                && w[4].text == "("
-                && w[5].text == "unsafe_code"
-            {
-                self.model.forbids_unsafe = true;
-                return;
+    /// Records the line ranges covered by `#[test]` / `#[cfg(test)]`
+    /// items: from the attribute to the end of the next brace-balanced
+    /// block, or to the terminating `;` of a brace-less item.
+    fn scan_test_regions(&mut self) {
+        let mut i = 0;
+        while i < self.sig.len() {
+            let at = |k: usize| self.text(i + k);
+            let is_test_attr = at(0) == "#"
+                && at(1) == "["
+                && ((at(2) == "test" && at(3) == "]")
+                    || (at(2) == "cfg"
+                        && at(3) == "("
+                        && at(4) == "test"
+                        && at(5) == ")"
+                        && at(6) == "]"));
+            if !is_test_attr {
+                i += 1;
+                continue;
             }
-        }
-    }
-
-    /// True when a rustdoc comment (`///`, `/**` or a `#[doc`
-    /// attribute) directly precedes significant token `i`, looking
-    /// back across attributes and ordinary comments. Inner docs
-    /// (`//!`, `/*!`) attach to the enclosing module, never to the
-    /// item that happens to follow them, so they don't count.
-    fn has_doc_before(&self, i: usize) -> bool {
-        let Some(&full) = self.full_index.get(i) else {
-            return false;
-        };
-        let mut j = full;
-        while j > 0 {
-            j -= 1;
-            let t = &self.toks[j];
-            match t.kind {
-                TokKind::LineComment => {
-                    if t.text.starts_with("///") {
-                        return true;
-                    }
+            let start = self.line(i);
+            let mut depth = 0usize;
+            while i < self.sig.len() {
+                match self.text(i) {
+                    "{" => depth += 1,
+                    "}" if depth <= 1 => break,
+                    "}" => depth -= 1,
+                    ";" if depth == 0 => break,
+                    _ => {}
                 }
-                TokKind::BlockComment => {
-                    if t.text.starts_with("/**") && t.text != "/**/" {
-                        return true;
-                    }
-                }
-                _ => {
-                    // Skip a preceding attribute `#[...]` wholesale; any
-                    // other token ends the lookback.
-                    if t.text == "]" {
-                        let mut depth = 1usize;
-                        while j > 0 && depth > 0 {
-                            j -= 1;
-                            match self.toks[j].text {
-                                "]" => depth += 1,
-                                "[" => depth -= 1,
-                                _ => {}
-                            }
-                        }
-                        if j > 0 && self.toks[j - 1].text == "#" {
-                            // `#[doc = "..."]` counts as documentation.
-                            if self.toks.get(j + 1).is_some_and(|t| t.text == "doc") {
-                                return true;
-                            }
-                            j -= 1;
-                            continue;
-                        }
-                        return false;
-                    }
-                    return false;
-                }
+                i += 1;
             }
+            // A truncated item runs to the last token.
+            let end = self.line(i.min(self.sig.len() - 1));
+            self.model.test_regions.push((start, end));
+            i += 1;
         }
-        false
     }
 
     /// Advances past a balanced `open`/`close` group; `i` enters at the
@@ -268,25 +226,10 @@ impl Parser<'_, '_> {
 
     /// Parses items in `sig[*i..end]`; `impl_ctx` is the innermost
     /// enclosing impl block.
-    #[allow(clippy::too_many_lines)]
     fn parse_items(&mut self, i: &mut usize, end: usize, impl_ctx: Option<&ImplCtx>) {
-        let mut is_pub = false;
-        let mut pub_token: Option<usize> = None;
         while *i < end {
             let t = self.text(*i);
             match t {
-                "pub" => {
-                    pub_token = Some(*i);
-                    *i += 1;
-                    // `pub(crate)` and friends are not external API.
-                    if self.text(*i) == "(" {
-                        self.skip_balanced(i, end, "(", ")");
-                        is_pub = false;
-                    } else {
-                        is_pub = true;
-                    }
-                    continue;
-                }
                 "#" => {
                     // Attribute: `#[...]` or `#![...]`.
                     *i += 1;
@@ -296,33 +239,11 @@ impl Parser<'_, '_> {
                     if self.text(*i) == "[" {
                         self.skip_balanced(i, end, "[", "]");
                     }
-                    continue;
                 }
-                "fn" => {
-                    let doc_at = pub_token.unwrap_or(*i);
-                    self.parse_fn(i, end, impl_ctx, is_pub, self.has_doc_before(doc_at));
-                }
-                "impl" => {
-                    self.parse_impl(i, end);
-                }
+                "fn" => self.parse_fn(i, end, impl_ctx),
+                "impl" => self.parse_impl(i, end),
                 "mod" => {
-                    let line = self.line(*i);
-                    let kw = *i;
-                    *i += 1;
-                    let name = self.text(*i).to_string();
-                    // Only *inline* `pub mod name { .. }` is API surface
-                    // needing a doc here; an out-of-line `pub mod name;`
-                    // carries its docs as the module file's `//!` header.
-                    if is_pub && !name.is_empty() && self.text(*i + 1) == "{" {
-                        let has_doc = self.has_doc_before(pub_token.unwrap_or(kw));
-                        self.model.pub_items.push(PubItem {
-                            kind: "mod",
-                            name,
-                            line,
-                            has_doc,
-                        });
-                    }
-                    *i += 1;
+                    *i += 2; // past `mod name`
                     if self.text(*i) == "{" {
                         let mut j = *i;
                         self.skip_balanced(&mut j, end, "{", "}");
@@ -334,29 +255,9 @@ impl Parser<'_, '_> {
                     }
                 }
                 "struct" | "enum" | "trait" | "union" | "type" => {
-                    let kind: &'static str = match t {
-                        "struct" => "struct",
-                        "enum" => "enum",
-                        "trait" => "trait",
-                        "union" => "union",
-                        _ => "type",
-                    };
-                    let line = self.line(*i);
-                    let kw = *i;
-                    *i += 1;
-                    let name = self.text(*i).to_string();
-                    if is_pub && !name.is_empty() {
-                        let has_doc = self.has_doc_before(pub_token.unwrap_or(kw));
-                        self.model.pub_items.push(PubItem {
-                            kind,
-                            name,
-                            line,
-                            has_doc,
-                        });
-                    }
-                    *i += 1;
-                    // Body: trait bodies contain items (default methods);
-                    // struct/enum bodies are data and are skipped.
+                    *i += 2; // past `keyword name`
+                             // Body: trait bodies contain items (default methods);
+                             // struct/enum bodies are data and are skipped.
                     while *i < end && self.text(*i) != "{" && self.text(*i) != ";" {
                         if self.text(*i) == "(" {
                             // Tuple struct: skip fields, then expect `;`.
@@ -366,7 +267,7 @@ impl Parser<'_, '_> {
                         *i += 1;
                     }
                     if self.text(*i) == "{" {
-                        if kind == "trait" {
+                        if t == "trait" {
                             let mut j = *i;
                             self.skip_balanced(&mut j, end, "{", "}");
                             *i += 1;
@@ -387,9 +288,6 @@ impl Parser<'_, '_> {
                         *i += 1;
                         continue;
                     }
-                    let kind: &'static str = if t == "static" { "static" } else { "const" };
-                    let line = self.line(*i);
-                    let kw = *i;
                     *i += 1;
                     if self.text(*i) == "mut" {
                         *i += 1;
@@ -415,21 +313,12 @@ impl Parser<'_, '_> {
                         }
                         *i += 1;
                     }
-                    if kind == "static" && !name.is_empty() {
+                    if t == "static" && !name.is_empty() {
                         self.model.statics.push(StaticInfo {
-                            name: name.clone(),
+                            name,
                             line: name_line,
                             ty,
                             thread_local: false,
-                        });
-                    }
-                    if is_pub && !name.is_empty() {
-                        let has_doc = self.has_doc_before(pub_token.unwrap_or(kw));
-                        self.model.pub_items.push(PubItem {
-                            kind,
-                            name,
-                            line,
-                            has_doc,
                         });
                     }
                 }
@@ -475,8 +364,6 @@ impl Parser<'_, '_> {
                     *i += 1;
                 }
             }
-            is_pub = false;
-            pub_token = None;
         }
     }
 
@@ -558,14 +445,7 @@ impl Parser<'_, '_> {
     /// At the `fn` keyword: records the fn and scans its body for call
     /// sites, screaming-case references, parallel regions, float
     /// accumulation and env reads.
-    fn parse_fn(
-        &mut self,
-        i: &mut usize,
-        end: usize,
-        impl_ctx: Option<&ImplCtx>,
-        is_pub: bool,
-        has_doc: bool,
-    ) {
+    fn parse_fn(&mut self, i: &mut usize, end: usize, impl_ctx: Option<&ImplCtx>) {
         let fn_line = self.line(*i);
         *i += 1;
         let name = self.text(*i).to_string();
@@ -582,7 +462,7 @@ impl Parser<'_, '_> {
                 ";" if paren == 0 => {
                     // Trait method declaration without a body.
                     *i += 1;
-                    self.record_fn(name, fn_line, impl_ctx, is_pub, has_doc, 0, 0);
+                    self.record_fn(name, fn_line, impl_ctx, 0, 0);
                     return;
                 }
                 _ => {}
@@ -592,18 +472,15 @@ impl Parser<'_, '_> {
         let body_start = *i;
         let mut j = *i;
         self.skip_balanced(&mut j, end, "{", "}");
-        self.record_fn(name, fn_line, impl_ctx, is_pub, has_doc, body_start, j);
+        self.record_fn(name, fn_line, impl_ctx, body_start, j);
         *i = j;
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn record_fn(
         &mut self,
         name: String,
         line: u32,
         impl_ctx: Option<&ImplCtx>,
-        is_pub: bool,
-        has_doc: bool,
         body_start: usize,
         body_end: usize,
     ) {
@@ -611,27 +488,14 @@ impl Parser<'_, '_> {
             return;
         }
         let mut info = FnInfo {
-            name: name.clone(),
+            name,
             line,
             impl_ctx: impl_ctx.cloned(),
-            is_pub,
-            has_doc,
             calls: Vec::new(),
             screaming_refs: Vec::new(),
         };
         if body_end > body_start {
             self.scan_body(body_start, body_end, &mut info);
-        }
-        // Trait-impl methods are not independent API surface; inherent
-        // `pub fn` methods and free `pub fn`s are.
-        let impl_trait = impl_ctx.and_then(|c| c.trait_name.as_deref());
-        if is_pub && impl_trait.is_none() {
-            self.model.pub_items.push(PubItem {
-                kind: "fn",
-                name,
-                line,
-                has_doc,
-            });
         }
         self.model.fns.push(info);
     }
@@ -704,6 +568,18 @@ impl Parser<'_, '_> {
                     let mut j = k + 1;
                     self.skip_balanced(&mut j, end, "(", ")");
                     par_regions.push((k + 1, j));
+                }
+                // Comparator region: `partial_cmp` anywhere in the
+                // argument list of a sort-family call. A `fn partial_cmp`
+                // trait impl has no such enclosing call.
+                if SORT_FAMILY.contains(&name) && next == "(" {
+                    let mut j = k + 1;
+                    self.skip_balanced(&mut j, end, "(", ")");
+                    for c in &self.sig[k + 1..j] {
+                        if c.text == "partial_cmp" && !self.model.float_cmp.contains(&c.line) {
+                            self.model.float_cmp.push(c.line);
+                        }
+                    }
                 }
                 // Screaming-case reference (static / thread_local use).
                 if is_screaming(name) {
@@ -902,50 +778,6 @@ fn helper(ev: FleetEvent) {}
         let ctx = m.fns[0].impl_ctx.as_ref().expect("ctx");
         assert_eq!(ctx.trait_name, None);
         assert_eq!(ctx.type_name, "Foo");
-        // Inherent pub methods are API surface.
-        assert_eq!(m.pub_items.len(), 1);
-        assert!(!m.pub_items[0].has_doc);
-    }
-
-    #[test]
-    fn doc_detection_spans_attributes() {
-        let src = "
-/// Documented.
-#[derive(Debug)]
-pub struct A;
-pub struct B;
-/** block doc */
-pub fn c() {}
-#[doc = \"macro doc\"]
-pub fn d() {}
-";
-        let m = parse_file(src);
-        let doc: Vec<(bool, &str)> = m
-            .pub_items
-            .iter()
-            .map(|p| (p.has_doc, p.name.as_str()))
-            .collect();
-        assert_eq!(
-            doc,
-            vec![(true, "A"), (false, "B"), (true, "c"), (true, "d")]
-        );
-    }
-
-    #[test]
-    fn pub_crate_is_not_api() {
-        let m = parse_file("pub(crate) fn f() {} pub fn g() {}");
-        assert_eq!(m.pub_items.len(), 1);
-        assert_eq!(m.pub_items[0].name, "g");
-    }
-
-    #[test]
-    fn trait_impl_methods_are_not_pub_items() {
-        let m = parse_file("impl Display for X { fn fmt(&self) {} }");
-        assert!(m.pub_items.is_empty());
-        assert_eq!(
-            m.fns[0].impl_ctx.as_ref().unwrap().trait_name.as_deref(),
-            Some("Display")
-        );
     }
 
     #[test]
@@ -1041,12 +873,6 @@ fn f(xs: &[u64]) {
 ";
         let m = parse_file(src);
         assert!(m.float_par.is_empty(), "{:?}", m.float_par);
-    }
-
-    #[test]
-    fn forbid_unsafe_detected() {
-        assert!(parse_file("#![forbid(unsafe_code)]\nfn f() {}").forbids_unsafe);
-        assert!(!parse_file("#![warn(missing_docs)]\nfn f() {}").forbids_unsafe);
     }
 
     #[test]

@@ -6,50 +6,36 @@
 //! own line; `//~^ RULE` on the line above. Fixtures declare the
 //! workspace path they emulate with a `lint-fixture-path:` header so
 //! scoping (sim crate / test file / example) is exercised too. Each
-//! fixture runs through *both* engines — the per-file token scan and
-//! the semantic pass (manifest-less, so same-file taint only).
+//! fixture runs through the workspace pass as a one-file workspace
+//! (manifest-less, so same-file taint only).
 //!
 //! `fixtures/ws/` holds a miniature workspace (crate directories with
 //! `Cargo.toml` + `src/lib.rs`) exercised through the full
-//! manifest-aware pass: crate-layering (W001, markers as `# //~ W001`
-//! TOML comments), missing-forbid (W002) and cross-crate shard taint
-//! (S001 across a dependency edge). Both `cargo test -p fiveg-lint`
-//! and `fiveg-lint --self-test` run all of this.
+//! manifest-aware pass: crate layering (W001) and the lint opt-in
+//! (W002), with markers as `# //~ W001` TOML comments, and cross-crate
+//! shard taint (S001 across a dependency edge). Both
+//! `cargo test -p fiveg-lint` and `fiveg-lint --self-test` run all of
+//! this.
 
 use std::path::Path;
 
-use crate::rules::{scan_file, FileCtx, RULES};
-use crate::workspace::{analyze, load_manifests, SourceFile};
+use crate::rules::{rule_id, FileCtx};
+use crate::workspace::{analyze, load_manifests, Manifest, SourceFile};
 
-/// Runs every `.rs` fixture under `fixtures`. `Ok(checked_count)` when
-/// all match; `Err(messages)` describing each drift otherwise.
+/// A fixture finding or expectation: (file, line, rule).
+type Site = (String, u32, &'static str);
+
+/// Runs every `.rs` fixture under `fixtures`, then the `ws/` fixture
+/// workspace. `Ok(checked_count)` when all match; `Err(messages)`
+/// describing each drift otherwise.
 pub fn run(fixtures: &Path) -> Result<usize, Vec<String>> {
-    let mut entries = match std::fs::read_dir(fixtures) {
-        Ok(rd) => rd
-            .filter_map(Result::ok)
-            .map(|e| e.path())
-            .collect::<Vec<_>>(),
-        Err(e) => return Err(vec![format!("cannot read {}: {e}", fixtures.display())]),
-    };
-    entries.sort();
     let mut failures = Vec::new();
-    let mut checked = 0usize;
-    for path in entries
-        .iter()
-        .filter(|p| p.extension().is_some_and(|e| e == "rs"))
-    {
-        let name = path
-            .file_name()
-            .and_then(|n| n.to_str())
-            .unwrap_or("?")
-            .to_string();
-        let src = match std::fs::read_to_string(path) {
-            Ok(s) => s,
-            Err(e) => {
-                failures.push(format!("{name}: cannot read: {e}"));
-                continue;
-            }
-        };
+    let mut paths = Vec::new();
+    collect_rs(fixtures, fixtures, &mut paths);
+    paths.retain(|p| !p.contains('/')); // `ws/` runs as one workspace below
+    paths.sort();
+    for name in &paths {
+        let src = std::fs::read_to_string(fixtures.join(name)).unwrap_or_default();
         let Some(emulated) = fixture_path_header(&src) else {
             failures.push(format!("{name}: missing `lint-fixture-path:` header"));
             continue;
@@ -58,50 +44,14 @@ pub fn run(fixtures: &Path) -> Result<usize, Vec<String>> {
             failures.push(format!("{name}: header path `{emulated}` is not scannable"));
             continue;
         };
-        let (mut findings, _) = scan_file(&ctx, &src);
-        let file = SourceFile {
-            ctx,
-            src: src.clone(),
-        };
-        let (semantic, _) = analyze(std::slice::from_ref(&file), &[]);
-        findings.extend(semantic);
-        let mut got: Vec<(u32, &str)> = findings.iter().map(|f| (f.line, f.rule)).collect();
-        got.sort_unstable();
-        let want = expected_markers(&src);
-        checked += 1;
-        if got != want {
-            let mut msg = format!("{name} (as {emulated}) drifted:");
-            for &(line, rule) in &want {
-                if !got.contains(&(line, rule)) {
-                    msg.push_str(&format!("\n  missing expected {rule} at line {line}"));
-                }
-            }
-            for f in &findings {
-                if !want.contains(&(f.line, f.rule)) {
-                    msg.push_str(&format!(
-                        "\n  unexpected {} at line {} `{}`",
-                        f.rule, f.line, f.excerpt
-                    ));
-                }
-            }
-            failures.push(msg);
-        }
+        let want = sites(&emulated, &src);
+        let file = SourceFile { ctx, src };
+        compare(name, &[file], &[], want, &mut failures);
     }
-    if checked == 0 {
+    if paths.is_empty() {
         failures.push(format!("no fixtures found in {}", fixtures.display()));
     }
-    let ws_root = fixtures.join("ws");
-    if ws_root.is_dir() {
-        match run_ws(&ws_root) {
-            Ok(n) => checked += n,
-            Err(mut msgs) => failures.append(&mut msgs),
-        }
-    } else {
-        failures.push(format!(
-            "missing ws fixture workspace at {}",
-            ws_root.display()
-        ));
-    }
+    let checked = paths.len() + run_ws(&fixtures.join("ws"), &mut failures);
     if failures.is_empty() {
         Ok(checked)
     } else {
@@ -110,80 +60,84 @@ pub fn run(fixtures: &Path) -> Result<usize, Vec<String>> {
 }
 
 /// Runs the full manifest-aware pass over the miniature fixture
-/// workspace and compares every finding — per-file and semantic —
-/// against the markers in its `.rs` and `Cargo.toml` files.
-fn run_ws(ws_root: &Path) -> Result<usize, Vec<String>> {
-    let manifests = match load_manifests(ws_root) {
-        Ok(m) => m,
-        Err(e) => return Err(vec![format!("ws fixture: cannot load manifests: {e}")]),
-    };
-    let mut want: Vec<(String, u32, &str)> = Vec::new();
+/// workspace and compares every finding against the markers in its
+/// `.rs` and `Cargo.toml` files. Returns the number of sources.
+fn run_ws(ws_root: &Path, failures: &mut Vec<String>) -> usize {
+    let manifests = load_manifests(ws_root).unwrap_or_default();
+    let mut want = Vec::new();
     for m in &manifests {
-        let Ok(text) = std::fs::read_to_string(ws_root.join(&m.rel_path)) else {
-            continue;
-        };
-        for (line, rule) in expected_markers(&text) {
-            want.push((m.rel_path.clone(), line, rule));
-        }
+        let text = std::fs::read_to_string(ws_root.join(&m.rel_path)).unwrap_or_default();
+        want.extend(sites(&m.rel_path, &text));
     }
-    let mut sources = Vec::new();
-    let mut got: Vec<(String, u32, &str)> = Vec::new();
     let mut rs_files = Vec::new();
-    collect_ws_rs(ws_root, ws_root, &mut rs_files);
+    collect_rs(ws_root, ws_root, &mut rs_files);
     rs_files.sort();
+    let mut sources = Vec::new();
     for rel in rs_files {
-        let Ok(src) = std::fs::read_to_string(ws_root.join(&rel)) else {
-            continue;
-        };
-        let Some(ctx) = FileCtx::classify(&rel) else {
-            continue;
-        };
-        for (line, rule) in expected_markers(&src) {
-            want.push((rel.clone(), line, rule));
-        }
-        let (findings, _) = scan_file(&ctx, &src);
-        got.extend(findings.into_iter().map(|f| (f.file, f.line, f.rule)));
-        sources.push(SourceFile { ctx, src });
-    }
-    let files = sources.len();
-    let (semantic, _) = analyze(&sources, &manifests);
-    got.extend(semantic.into_iter().map(|f| (f.file, f.line, f.rule)));
-    got.sort_unstable();
-    want.sort_unstable();
-    if files == 0 {
-        return Err(vec!["ws fixture workspace has no source files".into()]);
-    }
-    if got == want {
-        return Ok(files);
-    }
-    let mut msgs = Vec::new();
-    for (file, line, rule) in &want {
-        if !got.contains(&(file.clone(), *line, rule)) {
-            msgs.push(format!(
-                "ws fixture: missing expected {rule} at {file}:{line}"
-            ));
+        let src = std::fs::read_to_string(ws_root.join(&rel)).unwrap_or_default();
+        want.extend(sites(&rel, &src));
+        if let Some(ctx) = FileCtx::classify(&rel) {
+            sources.push(SourceFile { ctx, src });
         }
     }
-    for (file, line, rule) in &got {
-        if !want.contains(&(file.clone(), *line, rule)) {
-            msgs.push(format!("ws fixture: unexpected {rule} at {file}:{line}"));
-        }
+    if sources.is_empty() || manifests.is_empty() {
+        failures.push(format!(
+            "ws fixture workspace at {} is empty",
+            ws_root.display()
+        ));
     }
-    Err(msgs)
+    compare("ws", &sources, &manifests, want, failures);
+    sources.len()
+}
+
+/// Runs the workspace pass and reports every missing or unexpected
+/// finding against `want`.
+fn compare(
+    name: &str,
+    files: &[SourceFile],
+    manifests: &[Manifest],
+    want: Vec<Site>,
+    failures: &mut Vec<String>,
+) {
+    let (found, _) = analyze(files, manifests);
+    let got: Vec<Site> = found
+        .iter()
+        .map(|f| (f.file.clone(), f.line, f.rule))
+        .collect();
+    for (file, line, rule) in want.iter().filter(|w| !got.contains(w)) {
+        failures.push(format!("{name}: missing expected {rule} at {file}:{line}"));
+    }
+    for f in found
+        .iter()
+        .filter(|f| !want.contains(&(f.file.clone(), f.line, f.rule)))
+    {
+        failures.push(format!(
+            "{name}: unexpected {} at {}:{} `{}`",
+            f.rule, f.file, f.line, f.excerpt
+        ));
+    }
+}
+
+/// The expectation markers of `src` as sites in `file`.
+fn sites(file: &str, src: &str) -> Vec<Site> {
+    let markers = expected_markers(src).into_iter();
+    markers
+        .map(|(line, rule)| (file.to_string(), line, rule))
+        .collect()
 }
 
 /// Collects `.rs` paths under `dir` as `/`-separated paths relative to
-/// `ws_root`.
-fn collect_ws_rs(ws_root: &Path, dir: &Path, out: &mut Vec<String>) {
+/// `root`.
+fn collect_rs(root: &Path, dir: &Path, out: &mut Vec<String>) {
     let Ok(rd) = std::fs::read_dir(dir) else {
         return;
     };
     for entry in rd.filter_map(Result::ok) {
         let path = entry.path();
         if path.is_dir() {
-            collect_ws_rs(ws_root, &path, out);
+            collect_rs(root, &path, out);
         } else if path.extension().is_some_and(|e| e == "rs") {
-            if let Ok(rel) = path.strip_prefix(ws_root) {
+            if let Ok(rel) = path.strip_prefix(root) {
                 out.push(rel.to_string_lossy().replace('\\', "/"));
             }
         }
@@ -215,10 +169,7 @@ fn expected_markers(src: &str) -> Vec<(u32, &'static str)> {
             None => (lineno, rest),
         };
         for word in list.split_whitespace() {
-            match RULES.iter().find(|(id, _, _)| *id == word) {
-                Some((id, _, _)) => want.push((target, *id)),
-                None => want.push((target, "???")),
-            }
+            want.push((target, rule_id(word).unwrap_or("???")));
         }
     }
     want.sort_unstable();
@@ -231,10 +182,10 @@ mod tests {
 
     #[test]
     fn marker_parsing() {
-        let src = "let a = 1; //~ U001 D002\n//~^ D001\nplain\n//~ Z999\n";
+        let src = "let a = 1; //~ S002 D002\n//~^ F001\nplain\n//~ U001\n";
         assert_eq!(
             expected_markers(src),
-            vec![(1, "D001"), (1, "D002"), (1, "U001"), (4, "???")]
+            vec![(1, "D002"), (1, "F001"), (1, "S002"), (4, "???")]
         );
     }
 }

@@ -1,13 +1,12 @@
-//! The workspace model and the semantic rule families (S/F/W).
+//! The workspace model and the pass that evaluates every rule.
 //!
-//! The per-file token rules (D001–D005, U001) catch hazards visible on
-//! one line. The hazards PR 7–9 introduced are *cross-file*: an obs
-//! counter write buried three calls below a `ShardLogic` handler, a
-//! crate quietly growing a dependency edge that inverts the layering, a
-//! float reduction inside a scoped-thread closure. This module builds a
-//! light workspace model — parsed [`crate::parser::FileModel`]s per
-//! file, `fiveg-*` dependency edges per crate manifest, a name-resolved
-//! call graph with shard-handler taint — and evaluates:
+//! Most hazards this linter exists for are *cross-file*: an obs counter
+//! write buried three calls below a `ShardLogic` handler, a crate
+//! quietly growing a dependency edge that inverts the layering, a float
+//! reduction inside a scoped-thread closure. This module builds a light
+//! workspace model — parsed [`crate::parser::FileModel`]s per file,
+//! `fiveg-*` dependency edges per crate manifest, a name-resolved call
+//! graph with shard-handler taint — and evaluates:
 //!
 //! * **S001** — obs metric writes (`counter_add` / `gauge_max` /
 //!   `observe`) reachable from an `impl ShardLogic` handler, outside a
@@ -22,25 +21,28 @@
 //!   `sum::<f64>()`, `OnlineStats`) inside `par_map*` /
 //!   `std::thread::scope` closures: reduction order varies with the
 //!   thread count.
+//! * **D002** — `partial_cmp` inside a `sort_by`-family comparator, in
+//!   any file kind (goldens are compared by tests too).
 //! * **W001** — crate dependency edges outside the declared layering
 //!   DAG ([`ALLOWED_DEPS`]).
-//! * **W002** — library crates missing `#![forbid(unsafe_code)]`.
-//! * **W003** — `pub` items without a rustdoc comment (ratcheted
-//!   through the baseline, like U001 was).
+//! * **W002** — crate manifests without `[lints] workspace = true`: a
+//!   crate that does not opt in escapes `forbid(unsafe_code)`,
+//!   `missing_docs` and the clippy determinism bans.
+//! * **L000** — malformed `fiveg-lint:` pragmas.
 //!
 //! Call-graph edges are resolved *by name* within a crate and its
 //! declared dependencies — a deliberate over-approximation (no type
-//! information), tamed by the same pragma/baseline machinery as every
-//! other rule. The `obs` and `trace` crates are exempt from S001/S003:
-//! their ambient sinks are the *sanctioned* aggregation channels, and
-//! their shard-invariance is proven end-to-end by the `ci.sh` shard
-//! matrix and trace-determinism stages rather than statically.
+//! information), tamed by pragmas. The `obs` and `trace` crates are
+//! exempt from S001/S003: their ambient sinks are the *sanctioned*
+//! aggregation channels, and their shard-invariance is proven
+//! end-to-end by the `ci.sh` shard matrix and trace-determinism stages
+//! rather than statically.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
 
 use crate::parser::{parse_file, FileModel};
-use crate::rules::{file_pragmas, hint_for, test_regions_of, FileCtx, FileKind, Finding};
+use crate::rules::{hint_for, FileCtx, FileKind, Finding};
 
 /// The declared crate-layering DAG: for each crate (by `crates/<name>`
 /// directory name), the `fiveg-*` crates its `[dependencies]` section
@@ -51,8 +53,8 @@ use crate::rules::{file_pragmas, hint_for, test_regions_of, FileCtx, FileKind, F
 /// `simcore` is the DES kernel; `geo`/`phy`/`ran`/`net`/`transport`/
 /// `apps`/`energy` are the sim libraries; `scenario` is pure data
 /// model; `campaign` schedules; `core` composes everything; `bench` is
-/// the CLI shell. `lint` sees only `obs` (its JSON reader) — it must
-/// stay buildable before anything else is.
+/// the CLI shell. `lint` depends on nothing — it must stay buildable
+/// before anything else is.
 pub const ALLOWED_DEPS: &[(&str, &[&str])] = &[
     ("obs", &[]),
     ("trace", &["obs"]),
@@ -87,7 +89,7 @@ pub const ALLOWED_DEPS: &[(&str, &[&str])] = &[
         "bench",
         &["core", "campaign", "obs", "trace", "geo", "scenario"],
     ),
-    ("lint", &["obs"]),
+    ("lint", &[]),
 ];
 
 /// Obs write entry points guarded by S001.
@@ -104,7 +106,7 @@ pub struct Dep {
     pub name: String,
     /// 1-based line of the dependency in the manifest.
     pub line: u32,
-    /// Trimmed manifest line (the baseline key).
+    /// Trimmed manifest line.
     pub excerpt: String,
 }
 
@@ -118,22 +120,32 @@ pub struct Manifest {
     /// `fiveg-*` edges in the `[dependencies]` section only —
     /// dev-dependencies may reach across layers for tests.
     pub deps: Vec<Dep>,
+    /// The manifest opts into the workspace lint policy
+    /// (`[lints]` with `workspace = true`).
+    pub workspace_lints: bool,
+    /// Line 1 of the manifest, the W002 excerpt.
+    pub first_line: String,
 }
 
 impl Manifest {
-    /// Parses the `[dependencies]` section of one `Cargo.toml` for
-    /// `fiveg-*` edges. A line scan is enough: the manifests in this
-    /// workspace are machine-written one-dep-per-line TOML.
+    /// Parses one `Cargo.toml` for the `fiveg-*` edges of its
+    /// `[dependencies]` section and for the `[lints]` opt-in. A line
+    /// scan is enough: the manifests in this workspace are
+    /// machine-written one-entry-per-line TOML.
     pub fn parse(crate_name: &str, rel_path: &str, text: &str) -> Manifest {
         let mut deps = Vec::new();
-        let mut in_deps = false;
+        let mut workspace_lints = false;
+        let mut section = "";
         for (idx, raw) in text.lines().enumerate() {
             let line = raw.trim();
             if line.starts_with('[') {
-                in_deps = line == "[dependencies]";
+                section = line;
                 continue;
             }
-            if !in_deps {
+            if section == "[lints]" && line.replace(' ', "") == "workspace=true" {
+                workspace_lints = true;
+            }
+            if section != "[dependencies]" {
                 continue;
             }
             if let Some(rest) = line.strip_prefix("fiveg-") {
@@ -152,6 +164,8 @@ impl Manifest {
             crate_name: crate_name.to_string(),
             rel_path: rel_path.to_string(),
             deps,
+            workspace_lints,
+            first_line: text.lines().next().unwrap_or("").trim().to_string(),
         }
     }
 }
@@ -192,15 +206,28 @@ pub struct SourceFile {
 
 struct FileData<'a> {
     ctx: &'a FileCtx,
-    src: &'a str,
     model: FileModel,
-    tests: Vec<(u32, u32)>,
     lines: Vec<&'a str>,
 }
 
 impl FileData<'_> {
     fn in_test(&self, line: u32) -> bool {
-        self.ctx.kind == FileKind::Test || self.tests.iter().any(|&(a, b)| line >= a && line <= b)
+        self.ctx.kind == FileKind::Test
+            || self
+                .model
+                .test_regions
+                .iter()
+                .any(|&(a, b)| line >= a && line <= b)
+    }
+
+    fn finding(&self, rule: &'static str, line: u32) -> Finding {
+        Finding {
+            file: self.ctx.rel_path.clone(),
+            line,
+            rule,
+            excerpt: self.excerpt(line),
+            hint: hint_for(rule),
+        }
     }
 
     fn excerpt(&self, line: u32) -> String {
@@ -211,17 +238,15 @@ impl FileData<'_> {
     }
 }
 
-/// Runs the semantic pass over parsed sources + manifests. Returns
-/// `(findings, suppressed_by_pragma)`; findings are unsorted (the
-/// caller merges them with the per-file scan and sorts once).
+/// Runs every rule over parsed sources + manifests. Returns
+/// `(findings, suppressed_by_pragma)`; findings are sorted by
+/// (file, line, rule), one per site.
 pub fn analyze(files: &[SourceFile], manifests: &[Manifest]) -> (Vec<Finding>, usize) {
     let data: Vec<FileData> = files
         .iter()
         .map(|f| FileData {
             ctx: &f.ctx,
-            src: &f.src,
             model: parse_file(&f.src),
-            tests: test_regions_of(&f.src),
             lines: f.src.lines().collect(),
         })
         .collect();
@@ -245,21 +270,15 @@ pub fn analyze(files: &[SourceFile], manifests: &[Manifest]) -> (Vec<Finding>, u
         }
     }
 
-    // --- W002: forbid(unsafe_code) on every library crate root -------------
-    for m in manifests {
-        let lib_rel = format!("crates/{}/src/lib.rs", m.crate_name);
-        let Some(lib) = data.iter().find(|d| d.ctx.rel_path == lib_rel) else {
-            continue; // bin-only crate
-        };
-        if !lib.model.forbids_unsafe {
-            raw.push(Finding {
-                file: lib_rel,
-                line: 1,
-                rule: "W002",
-                excerpt: lib.excerpt(1),
-                hint: hint_for("W002"),
-            });
-        }
+    // --- W002: every crate opts into the workspace lint policy -----------
+    for m in manifests.iter().filter(|m| !m.workspace_lints) {
+        raw.push(Finding {
+            file: m.rel_path.clone(),
+            line: 1,
+            rule: "W002",
+            excerpt: m.first_line.clone(),
+            hint: hint_for("W002"),
+        });
     }
 
     // --- crate dependency closure (for call resolution) --------------------
@@ -376,13 +395,7 @@ pub fn analyze(files: &[SourceFile], manifests: &[Manifest]) -> (Vec<Finding>, u
             .is_some_and(|c| c.trait_name.as_deref() == Some("Drop"));
         for call in &f.calls {
             if OBS_WRITES.contains(&call.name.as_str()) && !in_drop && !d.in_test(call.line) {
-                raw.push(Finding {
-                    file: d.ctx.rel_path.clone(),
-                    line: call.line,
-                    rule: "S001",
-                    excerpt: d.excerpt(call.line),
-                    hint: hint_for("S001"),
-                });
+                raw.push(d.finding("S001", call.line));
             }
         }
         let visible = &reachable_crates[&fi];
@@ -394,57 +407,26 @@ pub fn analyze(files: &[SourceFile], manifests: &[Manifest]) -> (Vec<Finding>, u
                 .iter()
                 .any(|&sfi| crate_of(sfi).is_some_and(|c| c == krate || visible.contains(c)));
             if in_scope && !d.in_test(r.line) {
-                raw.push(Finding {
-                    file: d.ctx.rel_path.clone(),
-                    line: r.line,
-                    rule: "S003",
-                    excerpt: d.excerpt(r.line),
-                    hint: hint_for("S003"),
-                });
+                raw.push(d.finding("S003", r.line));
             }
         }
     }
 
-    // --- S002 / F001 / W003 per file ---------------------------------------
+    // --- per-file facts: D002 and L000 everywhere, S002/F001 in libs ------
     for d in &data {
+        raw.extend(d.model.float_cmp.iter().map(|&l| d.finding("D002", l)));
+        raw.extend(d.model.bad_pragmas.iter().map(|&l| d.finding("L000", l)));
         if d.ctx.kind != FileKind::Lib {
             continue;
         }
-        let krate = d.ctx.crate_name.as_deref().unwrap_or("");
-        let env_exempt = krate == "campaign" || d.ctx.rel_path == "crates/core/src/par.rs";
-        if !env_exempt {
-            for e in &d.model.env_reads {
-                if !d.in_test(e.line) {
-                    raw.push(Finding {
-                        file: d.ctx.rel_path.clone(),
-                        line: e.line,
-                        rule: "S002",
-                        excerpt: d.excerpt(e.line),
-                        hint: hint_for("S002"),
-                    });
-                }
-            }
-        }
-        for fa in &d.model.float_par {
-            if !d.in_test(fa.line) {
-                raw.push(Finding {
-                    file: d.ctx.rel_path.clone(),
-                    line: fa.line,
-                    rule: "F001",
-                    excerpt: d.excerpt(fa.line),
-                    hint: hint_for("F001"),
-                });
-            }
-        }
-        for p in &d.model.pub_items {
-            if !p.has_doc && !d.in_test(p.line) {
-                raw.push(Finding {
-                    file: d.ctx.rel_path.clone(),
-                    line: p.line,
-                    rule: "W003",
-                    excerpt: d.excerpt(p.line),
-                    hint: hint_for("W003"),
-                });
+        let env_exempt = d.ctx.crate_name.as_deref() == Some("campaign")
+            || d.ctx.rel_path == "crates/core/src/par.rs";
+        let env = d.model.env_reads.iter().map(|e| e.line);
+        let env = env.filter(|_| !env_exempt).map(|l| ("S002", l));
+        let float = d.model.float_par.iter().map(|f| ("F001", f.line));
+        for (rule, line) in env.chain(float) {
+            if !d.in_test(line) {
+                raw.push(d.finding(rule, line));
             }
         }
     }
@@ -454,26 +436,21 @@ pub fn analyze(files: &[SourceFile], manifests: &[Manifest]) -> (Vec<Finding>, u
     raw.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
     raw.dedup_by(|a, b| a.rule == b.rule && a.file == b.file && a.line == b.line);
 
-    // --- pragma suppression (same contract as the per-file scan) -----------
-    let mut pragmas: BTreeMap<&str, Vec<(u32, Vec<String>)>> = BTreeMap::new();
-    for d in &data {
-        pragmas.insert(d.ctx.rel_path.as_str(), file_pragmas(d.src));
-    }
-    let mut findings = Vec::new();
-    let mut suppressed = 0usize;
-    for f in raw {
-        let hit = pragmas.get(f.file.as_str()).is_some_and(|ps| {
+    // --- pragma suppression: the pragma's own line and the next ------------
+    let pragmas: BTreeMap<&str, &[(u32, Vec<&str>)]> = data
+        .iter()
+        .map(|d| (d.ctx.rel_path.as_str(), d.model.pragmas.as_slice()))
+        .collect();
+    let before = raw.len();
+    raw.retain(|f| {
+        !pragmas.get(f.file.as_str()).is_some_and(|ps| {
             ps.iter().any(|(line, rules)| {
-                (*line == f.line || *line + 1 == f.line) && rules.iter().any(|r| r == f.rule)
+                (*line == f.line || *line + 1 == f.line) && rules.contains(&f.rule)
             })
-        });
-        if hit {
-            suppressed += 1;
-        } else {
-            findings.push(f);
-        }
-    }
-    (findings, suppressed)
+        })
+    });
+    let suppressed = before - raw.len();
+    (raw, suppressed)
 }
 
 /// True when a static's type tokens imply interior mutability that
@@ -551,6 +528,13 @@ mod tests {
         findings.iter().map(|f| (f.rule, f.line)).collect()
     }
 
+    /// A manifest that opts into the workspace lints, with `deps` as
+    /// its `[dependencies]` body.
+    fn manifest(name: &str, deps: &str) -> Manifest {
+        let text = format!("[dependencies]\n{deps}[lints]\nworkspace = true\n");
+        Manifest::parse(name, &format!("crates/{name}/Cargo.toml"), &text)
+    }
+
     #[test]
     fn declared_dag_is_well_formed() {
         dag_is_well_formed().expect("DAG must be acyclic and closed");
@@ -577,10 +561,9 @@ fiveg-core = { workspace = true }
 
     #[test]
     fn w001_fires_on_undeclared_edges() {
-        let m = Manifest::parse(
+        let m = manifest(
             "geo",
-            "crates/geo/Cargo.toml",
-            "[dependencies]\nfiveg-simcore = { workspace = true }\nfiveg-core = { workspace = true }\n",
+            "fiveg-simcore = { workspace = true }\nfiveg-core = { workspace = true }\n",
         );
         let (f, _) = analyze(&[], &[m]);
         assert_eq!(rules_at(&f), vec![("W001", 3)]);
@@ -588,17 +571,23 @@ fiveg-core = { workspace = true }
 
     #[test]
     fn w002_fires_without_forbid() {
-        let m = Manifest::parse("net", "crates/net/Cargo.toml", "[dependencies]\n");
-        let lib = src_file("crates/net/src/lib.rs", "//! Net.\npub mod sim;\n");
-        let (f, _) = analyze(&[lib], &[m]);
-        assert!(rules_at(&f).contains(&("W002", 1)));
-        let m = Manifest::parse("net", "crates/net/Cargo.toml", "[dependencies]\n");
-        let lib = src_file(
-            "crates/net/src/lib.rs",
-            "//! Net.\n#![forbid(unsafe_code)]\npub mod sim;\n",
+        // The forbid(unsafe_code) policy lives in the workspace lint
+        // table; a manifest that does not opt in escapes it.
+        let bare = Manifest::parse(
+            "net",
+            "crates/net/Cargo.toml",
+            "[package]\n[dependencies]\n",
         );
-        let (f, _) = analyze(&[lib], &[m]);
-        assert!(!rules_at(&f).iter().any(|&(r, _)| r == "W002"));
+        let (f, _) = analyze(&[], &[bare]);
+        assert_eq!(rules_at(&f), vec![("W002", 1)]);
+        assert_eq!(f[0].excerpt, "[package]");
+        let opted = "[package]\n\n[lints]\nworkspace = true\n";
+        let m = Manifest::parse("net", "crates/net/Cargo.toml", opted);
+        assert!(analyze(&[], &[m]).0.is_empty());
+        // `workspace = true` under another table is not the opt-in.
+        let wrong = "[package]\n[dependencies.x]\nworkspace = true\n[lints.rust]\n";
+        let m = Manifest::parse("net", "crates/net/Cargo.toml", wrong);
+        assert_eq!(rules_at(&analyze(&[], &[m]).0), vec![("W002", 1)]);
     }
 
     #[test]
@@ -668,22 +657,17 @@ impl ShardLogic for Node {
     }
 
     #[test]
-    fn w003_ratchets_pub_docs() {
-        let src = "/// Doc.\npub fn a() {}\npub fn b() {}\nfn c() {}\n";
-        let (f, _) = analyze(&[src_file("crates/geo/src/fx.rs", src)], &[]);
-        assert_eq!(rules_at(&f), vec![("W003", 3)]);
-    }
-
-    #[test]
     fn pragmas_suppress_semantic_findings() {
         let src = "\
-// fiveg-lint: allow(W003) -- internal-only surface kept pub for benches
-pub fn a() {}
-pub fn b() {}
+fn f() {
+    // fiveg-lint: allow(S002) -- read once at startup, passed down
+    let a = std::env::var(\"FIVEG_A\");
+    let b = std::env::var(\"FIVEG_B\");
+}
 ";
         let (f, s) = analyze(&[src_file("crates/geo/src/fx.rs", src)], &[]);
         assert_eq!(s, 1);
-        assert_eq!(rules_at(&f), vec![("W003", 3)]);
+        assert_eq!(rules_at(&f), vec![("S002", 4)]);
     }
 
     #[test]
@@ -701,12 +685,8 @@ mod tests {
 
     #[test]
     fn cross_crate_taint_respects_dependency_edges() {
-        let core_manifest = Manifest::parse(
-            "core",
-            "crates/core/Cargo.toml",
-            "[dependencies]\nfiveg-phy = { workspace = true }\n",
-        );
-        let phy_manifest = Manifest::parse("phy", "crates/phy/Cargo.toml", "[dependencies]\n");
+        let core_manifest = manifest("core", "fiveg-phy = { workspace = true }\n");
+        let phy_manifest = manifest("phy", "");
         let core_src = "
 impl ShardLogic for Node {
     fn handle(&mut self) { measure_site(); }
@@ -729,12 +709,8 @@ impl ShardLogic for Node {
 }
 ";
         let core_helper = "fn core_helper() { fiveg_obs::counter_add(\"c.x\", 1); }\n";
-        let core_manifest = Manifest::parse(
-            "core",
-            "crates/core/Cargo.toml",
-            "[dependencies]\nfiveg-phy = { workspace = true }\n",
-        );
-        let phy_manifest = Manifest::parse("phy", "crates/phy/Cargo.toml", "[dependencies]\n");
+        let core_manifest = manifest("core", "fiveg-phy = { workspace = true }\n");
+        let phy_manifest = manifest("phy", "");
         let (f, _) = analyze(
             &[
                 src_file("crates/phy/src/fx.rs", phy_handler),

@@ -17,7 +17,7 @@ fn design_rule_rows(design: &str) -> Vec<(String, String, String)> {
             continue;
         }
         let id = cells[0];
-        // Rule ids look like D001/S003/W001 — one uppercase letter,
+        // Rule ids look like D002/S003/W001 — one uppercase letter,
         // three digits. Header and separator rows fail this shape.
         let is_rule = id.len() == 4
             && id.starts_with(|c: char| c.is_ascii_uppercase())

@@ -13,9 +13,9 @@ fn fixture_suite_matches_markers() {
 }
 
 #[test]
-fn repo_scan_is_deterministic_and_baseline_round_trips() {
-    // Scan the real workspace twice: identical findings and identical
-    // JSON reports (the --json byte-stability contract).
+fn repo_scan_is_deterministic() {
+    // Scan the real workspace twice: identical findings, in the same
+    // (file, line, rule) order.
     let root = Path::new(env!("CARGO_MANIFEST_DIR"))
         .parent()
         .and_then(Path::parent)
@@ -24,15 +24,5 @@ fn repo_scan_is_deterministic_and_baseline_round_trips() {
     let b = fiveg_lint::scan_workspace(root).expect("scan");
     assert_eq!(a.findings, b.findings);
     assert_eq!(a.suppressed, b.suppressed);
-    let base = fiveg_lint::Baseline::from_findings(&a.findings);
-    assert_eq!(
-        fiveg_lint::report_json(&a, &base),
-        fiveg_lint::report_json(&b, &base)
-    );
-    // Blessing today's findings yields zero new ones.
-    let (_, new) = base.split(&a.findings);
-    assert!(new.is_empty());
-    // And the baseline round-trips through the fiveg-obs JSON reader.
-    let back = fiveg_lint::Baseline::parse(&base.to_json()).expect("parse");
-    assert_eq!(base, back);
+    assert!(a.files > 100, "scanned only {} files", a.files);
 }

@@ -1,7 +1,7 @@
 //! Property tests for the item-level parser: total on arbitrary input
 //! (never panics, even on token soup and truncated items) and every
 //! reported line stays inside the file — the span guarantee the
-//! baseline excerpt keys and `file:line` reports depend on.
+//! excerpts and `file:line` reports depend on.
 
 use fiveg_lint::parser::{parse_file, FileModel};
 use proptest::prelude::*;
@@ -41,6 +41,9 @@ const FRAGMENTS: &[&str] = &[
     "acc += x;",
     "n += 1;",
     "par_map_with(xs, 4, || (), |_, i, x| ",
+    "v.sort_by(|a, b| a.partial_cmp(b))",
+    "// fiveg-lint: allow(D002) -- r\n",
+    "// fiveg-lint: allow(\n",
     "std::thread::scope(|s| ",
     "xs.iter().sum::<f64>()",
     ".fold(0.0, |a, b| a + b)",
@@ -98,8 +101,14 @@ fn assert_spans(src: &str, model: &FileModel) {
     for s in &model.statics {
         assert!(ok(s.line), "static {} line {}", s.name, s.line);
     }
-    for p in &model.pub_items {
-        assert!(ok(p.line), "pub {} line {}", p.name, p.line);
+    let regions = model.test_regions.iter().flat_map(|&(a, b)| [a, b]);
+    let pragmas = model.pragmas.iter().map(|p| p.0);
+    for line in regions
+        .chain(pragmas)
+        .chain(model.bad_pragmas.iter().copied())
+        .chain(model.float_cmp.iter().copied())
+    {
+        assert!(ok(line), "fact line {line} out of 1..={max}");
     }
     for e in &model.env_reads {
         assert!(ok(e.line), "env {} line {}", e.var, e.line);

@@ -1,18 +1,20 @@
-//! End-to-end checks on a seeded throwaway workspace: every semantic
-//! rule id (S001–S003, F001, W001–W003) fires on a planted violation,
-//! `--check` against an empty baseline exits 2, and grandfathering the
-//! findings through the baseline brings `--check` back to exit 0 —
-//! the full ratchet lifecycle, driven through the real binary.
+//! End-to-end checks on a seeded throwaway workspace, driven through
+//! the real binary: every rule id fires on a planted violation and
+//! `--check` exits 2, while the same workspace without the plants
+//! exits 0.
 
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
-const NEW_RULES: &[&str] = &["S001", "S002", "S003", "F001", "W001", "W002", "W003"];
-
-/// Builds a miniature workspace under `target/tmp` with one planted
-/// violation per semantic rule. Returns its root.
-fn seed_workspace(name: &str) -> PathBuf {
+/// Builds a miniature workspace under `target/tmp`: with `plants`, one
+/// violation per rule; without, the same crates written cleanly.
+/// Returns its root.
+#[expect(
+    clippy::expect_used,
+    reason = "test helper: an I/O failure fails the test"
+)]
+fn seed_workspace(name: &str, plants: bool) -> PathBuf {
     let root = Path::new(env!("CARGO_TARGET_TMPDIR")).join(name);
     if root.exists() {
         fs::remove_dir_all(&root).expect("clear previous seed");
@@ -22,122 +24,100 @@ fn seed_workspace(name: &str) -> PathBuf {
         fs::create_dir_all(path.parent().expect("parent")).expect("mkdir");
         fs::write(path, body).expect("write seed file");
     };
+    let lints = "\n[lints]\nworkspace = true\n";
     write("Cargo.toml", "[workspace]\nmembers = [\"crates/*\"]\n");
-    // `obs` may depend on nothing — fiveg-core here is a W001 edge.
+    // `obs` may depend on nothing: fiveg-core here is a W001 edge, and
+    // the missing `[lints]` opt-in is a W002.
+    let obs_deps = if plants {
+        "fiveg-core = { path = \"../core\" }\n"
+    } else {
+        lints
+    };
     write(
         "crates/obs/Cargo.toml",
-        "[package]\nname = \"fiveg-obs\"\n\n[dependencies]\nfiveg-core = { path = \"../core\" }\n",
+        &format!("[package]\nname = \"fiveg-obs\"\n\n[dependencies]\n{obs_deps}"),
     );
-    // Sink crate: its own lib stays silent apart from W002/W003 seeds.
-    write(
-        "crates/obs/src/lib.rs",
-        "//! Seeded obs crate: missing forbid (W002) and an undocumented\n\
-         //! pub item (W003).\n\
-         pub fn undocumented_api() {}\n",
-    );
+    write("crates/obs/src/lib.rs", "//! Seeded obs crate.\n");
     write(
         "crates/simcore/Cargo.toml",
-        "[package]\nname = \"fiveg-simcore\"\n\n[dependencies]\n",
+        &format!("[package]\nname = \"fiveg-simcore\"\n\n[dependencies]\n{lints}"),
     );
     // S001 (obs write in a handler), S003 (mutable static from a
     // handler), S002 (env read), F001 (float accumulation in a
-    // parallel closure) — all in one library file.
+    // parallel closure), D002 (partial_cmp comparator) and L000 (a
+    // pragma without a reason) — all in one library file.
+    let hazards = "\
+static HITS: AtomicU64 = AtomicU64::new(0);
+impl ShardLogic for Node {
+    fn handle(&mut self) {
+        fiveg_obs::counter_add(\"seed.hits\", 1);
+        HITS.fetch_add(1, Ordering::Relaxed);
+    }
+}
+pub fn knob() -> bool {
+    std::env::var(\"FIVEG_SEEDED_KNOB\").is_ok()
+}
+pub fn reduce(xs: &mut [f64]) -> f64 {
+    let mut total = 0.0f64;
+    par_map_with(xs, 4, || (), |_, _, x| {
+        total += x;
+    });
+    // fiveg-lint: allow(D002)
+    xs.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    total
+}
+";
+    let clean = "\
+pub fn reduce(xs: &mut [f64]) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    xs.iter().sum()
+}
+";
+    let body = if plants { hazards } else { clean };
     write(
         "crates/simcore/src/lib.rs",
-        "//! Seeded simcore crate.\n\
-         #![forbid(unsafe_code)]\n\
-         static HITS: AtomicU64 = AtomicU64::new(0);\n\
-         /// Seeded shard handler.\n\
-         pub struct Node;\n\
-         impl ShardLogic for Node {\n\
-             fn handle(&mut self) {\n\
-                 fiveg_obs::counter_add(\"seed.hits\", 1);\n\
-                 HITS.fetch_add(1, Ordering::Relaxed);\n\
-             }\n\
-         }\n\
-         /// Seeded env read outside core::par / campaign.\n\
-         pub fn knob() -> bool {\n\
-             std::env::var(\"FIVEG_SEEDED_KNOB\").is_ok()\n\
-         }\n\
-         /// Seeded float accumulation under par_map_with.\n\
-         pub fn reduce(xs: &[f64]) -> f64 {\n\
-             let mut total = 0.0f64;\n\
-             par_map_with(xs, 4, || (), |_, _, x| {\n\
-                 total += x;\n\
-             });\n\
-             total\n\
-         }\n",
+        &format!("//! Seeded simcore crate.\n{body}"),
     );
     root
 }
 
-fn lint(root: &Path, baseline: &Path, mode: &str) -> std::process::Output {
+#[expect(
+    clippy::expect_used,
+    reason = "test helper: a binary that cannot start fails the test"
+)]
+fn check(root: &Path) -> std::process::Output {
     Command::new(env!("CARGO_BIN_EXE_fiveg-lint"))
-        .arg(mode)
+        .arg("--check")
         .arg("--root")
         .arg(root)
-        .arg("--baseline")
-        .arg(baseline)
         .output()
         .expect("run fiveg-lint")
 }
 
 #[test]
-fn seeded_violations_exit_2_then_grandfather_to_0() {
-    let root = seed_workspace("lint-seeded-ws");
-    let baseline = root.join("lint-baseline.json");
-    fs::write(&baseline, "{\"entries\": [], \"schema\": 1}\n").expect("empty baseline");
-
-    // Empty baseline: every planted rule is a *new* finding → exit 2.
-    let check = lint(&root, &baseline, "--check");
+fn seeded_violations_exit_2_and_clean_seed_exits_0() {
+    let out = check(&seed_workspace("lint-seeded-ws", true));
+    let listing = String::from_utf8_lossy(&out.stdout);
     assert_eq!(
-        check.status.code(),
+        out.status.code(),
         Some(2),
-        "--check on seeded violations must exit 2\nstdout: {}\nstderr: {}",
-        String::from_utf8_lossy(&check.stdout),
-        String::from_utf8_lossy(&check.stderr),
+        "--check on seeded violations must exit 2\nstdout: {listing}\nstderr: {}",
+        String::from_utf8_lossy(&out.stderr),
     );
-    let listing = String::from_utf8_lossy(&check.stdout);
-    for rule in NEW_RULES {
+    for (rule, _, _) in fiveg_lint::RULES {
         assert!(
-            listing.contains(rule),
-            "seeded workspace did not produce a new {rule} finding:\n{listing}"
+            listing.contains(&format!(" {rule} ")),
+            "seeded workspace did not produce a {rule} finding:\n{listing}"
         );
     }
 
-    // Bless, then re-check: grandfathered findings are old → exit 0.
-    let bless = lint(&root, &baseline, "--bless");
-    assert_eq!(bless.status.code(), Some(0), "--bless must succeed");
-    let recheck = lint(&root, &baseline, "--check");
+    let out = check(&seed_workspace("lint-clean-ws", false));
     assert_eq!(
-        recheck.status.code(),
+        out.status.code(),
         Some(0),
-        "--check after --bless must exit 0\nstdout: {}",
-        String::from_utf8_lossy(&recheck.stdout),
+        "--check on the clean seed must exit 0\nstdout: {}",
+        String::from_utf8_lossy(&out.stdout),
     );
-}
-
-#[test]
-fn grandfathered_semantic_findings_split_as_old() {
-    // Library-level version of the ratchet: semantic findings fed to
-    // Baseline::from_findings come back entirely "old" on re-split,
-    // and an empty baseline marks them all "new".
-    let root = seed_workspace("lint-seeded-ws-lib");
-    let report = fiveg_lint::scan_workspace(&root).expect("scan seeded workspace");
-    for rule in NEW_RULES {
-        assert!(
-            report.findings.iter().any(|f| f.rule == *rule),
-            "seeded workspace scan missing {rule}"
-        );
-    }
-    let blessed = fiveg_lint::Baseline::from_findings(&report.findings);
-    let (old, new) = blessed.split(&report.findings);
-    assert_eq!(old.len(), report.findings.len());
-    assert!(new.is_empty(), "blessed findings must all be grandfathered");
-    let empty = fiveg_lint::Baseline::from_findings(&[]);
-    let (old, new) = empty.split(&report.findings);
-    assert!(old.is_empty());
-    assert_eq!(new.len(), report.findings.len());
 }
 
 #[test]

@@ -29,9 +29,6 @@
 //! * [`bufest`] — the classical max-min-delay in-network buffer
 //!   estimator the paper uses for Tab. 3.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod bufest;
 pub mod crosstraffic;
 pub mod hop;

@@ -47,9 +47,6 @@
 //! assert_eq!(snap.deterministic()["demo.tries.le_2"], 1);
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod json;
 pub mod metrics;
 pub mod snapshot;

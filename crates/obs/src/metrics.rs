@@ -238,6 +238,10 @@ impl MetricsHandle {
 
     /// Starts a span timer; the elapsed wall time is recorded when the
     /// returned guard drops.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "span timers are the sanctioned wall-clock reads; spans never feed artifacts"
+    )]
     pub fn span(&self, name: &'static str) -> SpanGuard {
         let stats = self
             .inner

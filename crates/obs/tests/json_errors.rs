@@ -1,12 +1,15 @@
 //! Error-path coverage for the fiveg-obs JSON reader.
 //!
-//! This parser gates two committed golden formats — the bench baseline
-//! (`golden/bench-baseline.json`) and the lint baseline
-//! (`golden/lint-baseline.json`) — so a malformed or truncated file
+//! This parser gates the committed bench baseline
+//! (`golden/bench-baseline.json`), so a malformed or truncated file
 //! must fail loudly with a byte offset, never mis-parse.
 
 use fiveg_obs::{parse_json, JsonValue};
 
+#[expect(
+    clippy::expect_used,
+    reason = "test helper: an input that parses fails the test"
+)]
 fn err_at(input: &str) -> usize {
     parse_json(input).expect_err("must fail").offset
 }

@@ -1,4 +1,11 @@
 //! Scratch calibration check (not shipped): prints Tab.2-style RSRP buckets.
+
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    reason = "a calibration scratch tool panics on a missing cell rather than carrying Results"
+)]
+
 use fiveg_geo::mobility::RoadSurvey;
 use fiveg_geo::{Campus, CampusConfig};
 use fiveg_phy::{RadioEnv, Tech};

@@ -25,9 +25,6 @@
 //!   cell (RSRP/RSRQ/SINR/CQI/MCS/bitrate), serving-cell selection; the
 //!   XCAL-Mobile analogue.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod antenna;
 pub mod carrier;
 pub mod cell;

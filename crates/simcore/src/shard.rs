@@ -237,11 +237,6 @@ impl Topology {
         self.shards
     }
 
-    /// The declared lookahead of `src -> dst`, if linked.
-    pub fn lookahead(&self, src: ShardId, dst: ShardId) -> Option<SimDuration> {
-        self.link(src, dst).map(|l| l.lookahead)
-    }
-
     /// The safe-window width: minimum lookahead over all links, or
     /// [`SimDuration::MAX`] for a link-free topology.
     pub fn min_lookahead(&self) -> SimDuration {
@@ -512,9 +507,6 @@ pub struct ShardStats {
     pub events: u64,
     /// Cross-shard messages delivered. Thread-count invariant.
     pub msgs: u64,
-    /// Synchronization rounds. Depends on the execution mode (a serial
-    /// run has none) — informational only, never an obs counter.
-    pub rounds: u64,
 }
 
 /// The result of a completed run: the shard logics (in shard order)
@@ -715,11 +707,7 @@ impl<L: ShardLogic> ShardEngine<L> {
         }
         Ok(ShardRun {
             logics: cells.into_iter().map(|c| c.logic).collect(),
-            stats: ShardStats {
-                events,
-                msgs,
-                rounds: 0,
-            },
+            stats: ShardStats { events, msgs },
         })
     }
 
@@ -739,7 +727,6 @@ impl<L: ShardLogic> ShardEngine<L> {
         let next_shard = AtomicUsize::new(0);
         let stop = AtomicBool::new(false);
         let window_end = AtomicU64::new(0);
-        let rounds = AtomicU64::new(0);
         let msgs = AtomicU64::new(0);
         let failure: Mutex<Option<ShardError>> = Mutex::new(None);
 
@@ -799,7 +786,6 @@ impl<L: ShardLogic> ShardEngine<L> {
                         Some(t) if !failed => {
                             let end = t.checked_add(window).unwrap_or(SimTime::MAX);
                             window_end.store(end.as_nanos(), MemOrder::Relaxed);
-                            rounds.fetch_add(1, MemOrder::Relaxed);
                         }
                         _ => stop.store(true, MemOrder::Relaxed),
                     }
@@ -896,7 +882,6 @@ impl<L: ShardLogic> ShardEngine<L> {
             stats: ShardStats {
                 events,
                 msgs: msgs.into_inner(),
-                rounds: rounds.into_inner(),
             },
         })
     }

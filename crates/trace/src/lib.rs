@@ -26,9 +26,6 @@
 //!   superset of any global suffix, the truncated result equals what a
 //!   single global ring would have kept — for any shard partition.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};

@@ -408,7 +408,7 @@ mod tests {
             b.on_ack(sample(now, 80.0, 20, 10_000));
         }
         assert_eq!(b.phase_name(), "probe_bw");
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for _ in 0..40 {
             now += 25;
             b.on_ack(sample(now, 80.0, 20, 10_000));

@@ -13,9 +13,6 @@
 //! * [`udp`] — the CBR source used for the UDP baselines (Fig. 7) and
 //!   the loss-versus-load sweep (Fig. 9).
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod bbr;
 pub mod cc;
 pub mod cubic;

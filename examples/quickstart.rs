@@ -3,6 +3,12 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    reason = "an example aborts on a broken invariant; panicking keeps the walkthrough short"
+)]
+
 use fiveg_core::net::path::{Direction, PaperPathParams, PathConfig};
 use fiveg_core::net::NetSim;
 use fiveg_core::phy::Tech;

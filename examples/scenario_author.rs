@@ -6,6 +6,12 @@
 //!
 //! Run with: `cargo run --release -p fiveg-core --example scenario_author`
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    reason = "an example aborts on a broken invariant; panicking keeps the walkthrough short"
+)]
+
 use fiveg_core::scenario_dsl::{
     AppSpec, ArrivalSpec, FaultSpec, FleetSpec, MobilitySpec, ScenarioSpec, TechSpec, UeGroupSpec,
     VideoRes, WorkloadSpec,

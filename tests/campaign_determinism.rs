@@ -17,6 +17,10 @@ use std::fs;
 /// code twice without dominating the test suite.
 const CHEAP: &str = "sec6-energy";
 
+#[expect(
+    clippy::expect_used,
+    reason = "test helper: a failed job fails the test"
+)]
 fn artifact_bytes(report: &RunReport) -> Vec<(String, String)> {
     report
         .results
